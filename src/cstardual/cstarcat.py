@@ -79,8 +79,9 @@ class ValidationReport:
 class FiniteCStarCategory:
     """Finite commutative C*-category given by structure tensors.
 
-    Instances are treated as immutable after construction; characters and
-    minimal idempotents are cached lazily.
+    Instances are treated as immutable after construction; characters,
+    minimal idempotents and corner matchings are cached lazily, per
+    tolerance.
     """
 
     def __init__(self, objects, dims, comp, invol, units):
@@ -143,10 +144,6 @@ class FiniteCStarCategory:
 
     # -- action matrices ------------------------------------------------------
 
-    def left_mult_matrix(self, A, a):
-        """Matrix of x -> a . x on the diagonal algebra at A."""
-        return np.einsum("i,ijk->kj", a, self.comp[(A, A, A)])
-
     def left_action_matrix(self, A, B, a):
         """Matrix of x -> a . x : Hom(A,B) -> Hom(A,B) for a in Hom(A,A)."""
         return np.einsum("i,ijk->kj", a, self.comp[(A, A, B)])
@@ -158,11 +155,10 @@ class FiniteCStarCategory:
     # -- characters -----------------------------------------------------------
 
     def characters(self, A, tol: Tolerance = DEFAULT_TOL):
-        """Characters of the diagonal at A, cached on first use (subsequent
-        calls reuse the first tolerance)."""
-        if A not in self._characters:
-            self._characters[A] = _diagonal_characters(self, A, tol)
-        return self._characters[A]
+        """Characters of the diagonal at A, cached per tolerance."""
+        if (A, tol) not in self._characters:
+            self._characters[(A, tol)] = _diagonal_characters(self, A, tol)
+        return self._characters[(A, tol)]
 
     def character_matrix(self, A, tol: Tolerance = DEFAULT_TOL):
         """Rows are character value tuples on the diagonal basis at A."""
@@ -172,15 +168,19 @@ class FiniteCStarCategory:
     def idempotents(self, A, tol: Tolerance = DEFAULT_TOL):
         """Columns are coordinates of the minimal idempotents, ordered like
         the characters (column k satisfies char_j(e_k) = delta_jk)."""
-        if A not in self._idempotents:
+        if (A, tol) not in self._idempotents:
             omega = self.character_matrix(A, tol)
-            self._idempotents[A] = np.linalg.solve(omega, np.eye(omega.shape[0]))
-        return self._idempotents[A]
+            self._idempotents[(A, tol)] = np.linalg.solve(omega, np.eye(omega.shape[0]))
+        return self._idempotents[(A, tol)]
 
     def corner_matching(self, A, B, tol: Tolerance = DEFAULT_TOL):
-        if (A, B) not in self._matchings:
-            self._matchings[(A, B)] = _corner_matching(self, A, B, tol)
-        return self._matchings[(A, B)]
+        """Partial bijection between the characters at A and at B induced by
+        nonzero corners: dict ``p -> (q, u, u* K)`` with ``u`` the unit
+        generator of the corner and ``u* K`` its coordinate functional
+        (``K`` the corner projection)."""
+        if (A, B, tol) not in self._matchings:
+            self._matchings[(A, B, tol)] = _corner_matching(self, A, B, tol)
+        return self._matchings[(A, B, tol)]
 
 
 @dataclass(frozen=True)
@@ -212,10 +212,11 @@ def _finish_characters(cat, A, omega, tol):
             f"functionals on {A} are not multiplicative (dev {max_abs(lhs - rhs):g})")
     if max_abs(omega @ cat.unit(A) - 1.0) > check_tol:
         raise DiagonalNotSemisimple(f"functionals on {A} are not unital")
-    for k in range(d):
-        for l in range(k + 1, d):
-            if max_abs(omega[k] - omega[l]) < 10 * check_tol:
-                raise DiagonalNotSemisimple(f"characters {k},{l} on {A} coincide")
+    dist = np.max(np.abs(omega[:, None, :] - omega[None, :, :]), axis=2, initial=0.0)
+    close = np.argwhere(np.triu(dist < 10 * check_tol, 1))
+    if close.size:
+        k, l = close[0]
+        raise DiagonalNotSemisimple(f"characters {k},{l} on {A} coincide")
     rows = sorted(range(d), key=lambda k: _char_sort_key(omega[k]))
     return [DiagonalCharacter(A, i, omega[rows[i]].copy()) for i in range(d)]
 
@@ -224,17 +225,12 @@ def _characters_by_gram(cat, A, tol):
     """Characters through the canonical inner product <x,y> = phi(x* y) with
     phi = tr o L.  In a *-orthonormal basis the left-multiplication operators
     become normal, so the family is handled by simultaneous_diag."""
-    d = cat.dim(A, A)
-    if d == 0:
+    if cat.dim(A, A) == 0:
         raise DiagonalNotSemisimple(f"diagonal at {A} is zero-dimensional")
-    eye = np.eye(d)
-    lmats = [cat.left_mult_matrix(A, eye[i]) for i in range(d)]
-    phi = np.array([np.trace(L) for L in lmats])
-    stars = [cat.star(A, A, eye[i]) for i in range(d)]
-    gram = np.empty((d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            gram[i, j] = phi @ cat.compose(A, A, A, stars[i], eye[j])
+    T = cat.comp[(A, A, A)]
+    lmats = np.transpose(T, (0, 2, 1))  # lmats[i] is the matrix of x -> b_i . x
+    phi = np.einsum("ijj->i", T)
+    gram = np.einsum("ai,ijk,k->aj", cat.invol[(A, A)].T, T, phi, optimize=True)
     if max_abs(gram - gram.conj().T) > 1e3 * tol.abs_eps * (1.0 + max_abs(gram)):
         raise DiagonalNotSemisimple(f"canonical form on {A} is not Hermitian")
     evals, V = hermitian_eig(gram, tol)
@@ -243,9 +239,9 @@ def _characters_by_gram(cat, A, tol):
     root = np.sqrt(evals)
     C = (root[:, None] * V.conj().T)
     Cinv = V * (1.0 / root)[None, :]
-    tilde = [C @ L @ Cinv for L in lmats]
+    tilde = C @ lmats @ Cinv
     U = simultaneous_diag(tilde, tol)
-    omega = np.array([np.einsum("ik,ij,jk->k", np.conj(U), Lt, U) for Lt in tilde]).T
+    omega = np.einsum("ak,iab,bk->ki", np.conj(U), tilde, U, optimize=True)
     return _finish_characters(cat, A, omega, tol)
 
 
@@ -254,27 +250,19 @@ def _characters_by_similarity(cat, A, tol):
     joint eigenvalues of the left-multiplication family through a random
     element's (possibly non-unitary) eigenbasis."""
     d = cat.dim(A, A)
-    eye = np.eye(d)
-    lmats = [cat.left_mult_matrix(A, eye[i]) for i in range(d)]
+    lmats = np.transpose(cat.comp[(A, A, A)], (0, 2, 1))  # x -> b_i . x
+    scales = 1.0 + np.max(np.abs(lmats), axis=(1, 2), initial=0.0)
     rng = Xoshiro256StarStar(_FALLBACK_SEED)
     for _ in range(8):
         coeffs = np.array([rng.uniform() * 2 - 1 for _ in range(d)])
-        Lrand = sum(c * L for c, L in zip(coeffs, lmats))
-        evals, V = np.linalg.eig(Lrand)
+        _, V = np.linalg.eig(np.tensordot(coeffs, lmats, 1))
         if np.linalg.cond(V) > 1e8:
             continue
-        Vinv = np.linalg.inv(V)
-        omega = np.empty((d, d), dtype=complex)
-        good = True
-        for i, L in enumerate(lmats):
-            D = Vinv @ L @ V
-            off = max_abs(D - np.diag(np.diag(D)))
-            if off > 1e-6 * (1.0 + max_abs(L)):
-                good = False
-                break
-            omega[:, i] = np.diag(D)
-        if good:
-            return _finish_characters(cat, A, omega, tol)
+        D = np.linalg.inv(V) @ lmats @ V
+        diag = np.diagonal(D, axis1=1, axis2=2)
+        off = np.abs(D - diag[:, :, None] * np.eye(d))
+        if np.all(np.max(off, axis=(1, 2), initial=0.0) <= 1e-6 * scales):
+            return _finish_characters(cat, A, diag.T, tol)
     raise DiagonalNotSemisimple(f"no joint eigenbasis for the diagonal at {A}")
 
 
@@ -303,6 +291,28 @@ def corner_projection_matrix(cat, A, B, p: DiagonalCharacter, q: DiagonalCharact
     return cat.right_action_matrix(A, B, e_q) @ cat.left_action_matrix(A, B, e_p)
 
 
+def _corner_zero_tol(cat, A, B, tol):
+    """Column norm up to which a corner projection on Hom(A,B) counts as zero."""
+    return 1e-6 * (1.0 + max_abs(cat.idempotents(A, tol)) * max_abs(cat.idempotents(B, tol)))
+
+
+def _corner_generator(K, zero_tol, where):
+    """Unit generator of the range of the corner projection K, or None when
+    K is zero.  A range of dimension > 1 raises CornerDimensionExceedsOne;
+    ``where`` is the (A, B, p, q) named in its message."""
+    norms = np.linalg.norm(K, axis=0)
+    jmax = int(np.argmax(norms))
+    if norms[jmax] <= zero_tol:
+        return None
+    u = K[:, jmax] / norms[jmax]
+    residual = K - np.outer(u, u.conj() @ K)
+    if max_abs(residual) > zero_tol * max(1.0, max_abs(K)):
+        A, B, p, q = where
+        raise CornerDimensionExceedsOne(
+            f"corner ({A},{B}) at characters ({p},{q}) has dimension > 1")
+    return u
+
+
 def corner(cat, A, B, p: DiagonalCharacter, q: DiagonalCharacter,
            tol: Tolerance = DEFAULT_TOL):
     """Orthonormal basis (columns) of the corner e_p . Hom(A,B) . e_q.
@@ -311,39 +321,36 @@ def corner(cat, A, B, p: DiagonalCharacter, q: DiagonalCharacter,
     anything larger raises CornerDimensionExceedsOne.
     """
     K = corner_projection_matrix(cat, A, B, p, q, tol)
-    if K.size == 0:
+    u = None if K.size == 0 else _corner_generator(
+        K, _corner_zero_tol(cat, A, B, tol), (A, B, p.index, q.index))
+    if u is None:
         return np.zeros((cat.dim(A, B), 0), dtype=complex)
-    scale = 1.0 + max_abs(cat.idempotents(A, tol)) * max_abs(cat.idempotents(B, tol))
-    zero_tol = 1e-6 * scale
-    norms = np.linalg.norm(K, axis=0)
-    jmax = int(np.argmax(norms))
-    if norms[jmax] <= zero_tol:
-        return np.zeros((cat.dim(A, B), 0), dtype=complex)
-    u = K[:, jmax] / norms[jmax]
-    residual = K - np.outer(u, u.conj() @ K)
-    if max_abs(residual) > zero_tol * max(1.0, max_abs(K)):
-        raise CornerDimensionExceedsOne(
-            f"corner ({A},{B}) at characters ({p.index},{q.index}) has dimension > 1")
     return u[:, None]
 
 
 def _corner_matching(cat, A, B, tol):
     """Partial bijection between diagonal characters induced by nonzero
-    corners: dict p_index -> (q_index, frame vector)."""
+    corners: dict p_index -> (q_index, generator u, functional u* K)."""
     chars_a = cat.characters(A, tol)
     chars_b = cat.characters(B, tol)
+    zero_tol = _corner_zero_tol(cat, A, B, tol)
     match = {}
-    for p in chars_a:
-        for q in chars_b:
-            basis = corner(cat, A, B, p, q, tol)
-            if basis.shape[1] == 0:
-                continue
-            if p.index in match:
-                raise HolonomyViolation(
-                    f"character {p.index} of {A} matches two characters of {B}")
-            match[p.index] = (q.index, basis[:, 0])
+    if cat.dim(A, B) == 0:
+        return match
+    # left[p] is x -> e_p . x and right[q] is x -> x . e_q on Hom(A,B)
+    left = np.einsum("ip,ijk->pkj", cat.idempotents(A, tol), cat.comp[(A, A, B)])
+    right = np.einsum("jq,ijk->qki", cat.idempotents(B, tol), cat.comp[(A, B, B)])
+    for p, q in product(range(len(chars_a)), range(len(chars_b))):
+        K = right[q] @ left[p]
+        u = _corner_generator(K, zero_tol, (A, B, p, q))
+        if u is None:
+            continue
+        if p in match:
+            raise HolonomyViolation(
+                f"character {p} of {A} matches two characters of {B}")
+        match[p] = (q, u, u.conj() @ K)
     seen = {}
-    for pi, (qi, _) in match.items():
+    for pi, (qi, _, _) in match.items():
         if qi in seen:
             raise HolonomyViolation(
                 f"character {qi} of {B} matches two characters of {A}")
@@ -355,15 +362,26 @@ def _corner_matching(cat, A, B, tol):
 # norm
 # ---------------------------------------------------------------------------
 
+def _squares(cat, A, B, X):
+    """Column i holds x_i* . x_i in Hom(B,B) for column x_i of X in Hom(A,B)."""
+    X = np.asarray(X, dtype=complex)
+    stars = cat.invol[(A, B)] @ np.conj(X)
+    left = np.tensordot(stars, cat.comp[(B, A, B)], axes=(0, 0))  # [n, j, k]: x_n* . b_j
+    return np.einsum("njk,jn->kn", left, X)
+
+
+def _cstar_norms(cat, A, B, X, tol):
+    """C*-norms of the columns of X in Hom(A,B)."""
+    Y = _squares(cat, A, B, X)
+    omega = cat.character_matrix(B, tol)
+    if omega.size == 0 or Y.size == 0:
+        return np.zeros(Y.shape[1])
+    return np.sqrt(np.maximum(0.0, np.max((omega @ Y).real, axis=0)))
+
+
 def cstar_norm(cat, A, B, x, tol: Tolerance = DEFAULT_TOL) -> float:
     """The unique C*-norm: sqrt of the spectral radius of x* . x."""
-    x = np.asarray(x, dtype=complex)
-    y = cat.compose(B, A, B, cat.star(A, B, x), x)
-    omega = cat.character_matrix(B, tol)
-    if omega.size == 0 or y.size == 0:
-        return 0.0
-    vals = omega @ y
-    return float(np.sqrt(max(0.0, np.max(vals.real))))
+    return float(_cstar_norms(cat, A, B, np.asarray(x)[:, None], tol)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +413,8 @@ def validate_category(cat: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL) ->
             continue  # no basis triples to check
         T1, T2 = cat.comp[(A, B, C)], cat.comp[(A, C, D)]
         T3, T4 = cat.comp[(B, C, D)], cat.comp[(A, B, D)]
-        lhs = np.einsum("ijk,klm->ijlm", T1, T2)
-        rhs = np.einsum("jln,inm->ijlm", T3, T4)
+        lhs = np.tensordot(T1, T2, axes=(2, 0))
+        rhs = np.tensordot(T3, T4, axes=(2, 1)).transpose(2, 0, 1, 3)
         dev = max_abs(lhs - rhs)
         report.record("associativity", dev <= atol, f"({A},{B},{C},{D})", dev)
 
@@ -421,8 +439,8 @@ def validate_category(cat: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL) ->
             continue  # no basis pairs to check
         T = cat.comp[(A, B, C)]
         Jab, Jbc, Jac = cat.invol[(A, B)], cat.invol[(B, C)], cat.invol[(A, C)]
-        lhs = np.einsum("pr,ijr->ijp", Jac, np.conj(T))
-        rhs = np.einsum("qj,pi,qpm->ijm", Jbc, Jab, cat.comp[(C, B, A)])
+        lhs = np.conj(T) @ Jac.T
+        rhs = np.einsum("qj,pi,qpm->ijm", Jbc, Jab, cat.comp[(C, B, A)], optimize=True)
         dev = max_abs(lhs - rhs)
         report.record("involution_antimultiplicative", dev <= atol, f"({A},{B},{C})", dev)
 
@@ -440,21 +458,18 @@ def validate_category(cat: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL) ->
             report.record("diagonal_semisimple", False, f"({A}): {exc}")
 
     for A, B in cat.hom_pairs():
-        if B not in chars:
-            continue
         d = cat.dim(A, B)
-        omega = np.array([c.values for c in chars[B]])
+        if B not in chars or d == 0:
+            continue
+        # characters of Hom(B,B) on x* . x, one column per basis element x
+        vals = cat.character_matrix(B, tol) @ _squares(cat, A, B, np.eye(d))
+        bound = 1e-7 * (1.0 + np.max(np.abs(vals), axis=0))
+        neg = np.min(vals.real, axis=0)
+        imag = np.max(np.abs(vals.imag), axis=0)
         for i in range(d):
-            x = np.eye(d)[i]
-            y = cat.compose(B, A, B, cat.star(A, B, x), x)
-            vals = omega @ y
-            norm2 = float(np.max(np.abs(vals))) if vals.size else 0.0
-            bound = 1e-7 * (1.0 + norm2)
-            neg = float(np.min(vals.real)) if vals.size else 0.0
-            imag = max_abs(vals.imag) if vals.size else 0.0
-            ok = neg >= -bound and imag <= bound
+            ok = bool(neg[i] >= -bound[i] and imag[i] <= bound[i])
             report.record("positivity", ok, f"({A},{B}) basis {i}",
-                          max(0.0, -neg) + imag)
+                          float(max(0.0, -neg[i]) + imag[i]))
     return report
 
 
@@ -485,9 +500,9 @@ def _check_match_coherence(cat, tol):
     for A, B, C in product(cat.objects, repeat=3):
         if len({A, B, C}) != 3:
             continue
-        mab = {p: q for p, (q, _) in cat.corner_matching(A, B, tol).items()}
-        mbc = {p: q for p, (q, _) in cat.corner_matching(B, C, tol).items()}
-        mac = {p: q for p, (q, _) in cat.corner_matching(A, C, tol).items()}
+        mab = {p: q for p, (q, _, _) in cat.corner_matching(A, B, tol).items()}
+        mbc = {p: q for p, (q, _, _) in cat.corner_matching(B, C, tol).items()}
+        mac = {p: q for p, (q, _, _) in cat.corner_matching(A, C, tol).items()}
         for p, q in mab.items():
             if q in mbc and mac.get(p) != mbc[q]:
                 raise HolonomyViolation(
@@ -510,7 +525,7 @@ def enumerate_orbit_classes(cat: FiniteCStarCategory, tol: Tolerance = DEFAULT_T
     matches = {}
     for A, B in product(objs, repeat=2):
         if A != B:
-            matches[(A, B)] = {p: q for p, (q, _) in cat.corner_matching(A, B, tol).items()}
+            matches[(A, B)] = {p: q for p, (q, _, _) in cat.corner_matching(A, B, tol).items()}
     classes = []
     for combo in product(*(range(cat.dim(A, A)) for A in objs)):
         pick = dict(zip(objs, combo))
@@ -582,8 +597,8 @@ def check_star_functor(F: StarFunctor, tol: Tolerance = DEFAULT_TOL) -> Validati
             continue
         A2, B2, C2 = F.obj_map[A], F.obj_map[B], F.obj_map[C]
         Hab, Hbc, Hac = F.hom_maps[(A, B)], F.hom_maps[(B, C)], F.hom_maps[(A, C)]
-        lhs = np.einsum("ijk,pk->ijp", T, Hac)
-        rhs = np.einsum("pi,qj,pqm->ijm", Hab, Hbc, tgt.comp[(A2, B2, C2)])
+        lhs = T @ Hac.T
+        rhs = np.einsum("pi,qj,pqm->ijm", Hab, Hbc, tgt.comp[(A2, B2, C2)], optimize=True)
         dev = max_abs(lhs - rhs)
         report.record("functor_composition", dev <= atol, f"({A},{B},{C})", dev)
 
@@ -613,13 +628,9 @@ def check_non_degenerate(F: StarFunctor, tol: Tolerance = DEFAULT_TOL):
         if not matching:
             continue
         H = F.hom_maps[(A, B)]
-        for p_idx, (q_idx, frame) in matching.items():
-            p = tgt.characters(A2, tol)[p_idx]
-            q = tgt.characters(B2, tol)[q_idx]
-            K = corner_projection_matrix(tgt, A2, B2, p, q, tol)
-            functional = (frame.conj() @ K) / (frame.conj() @ frame)
+        for p_idx, (q_idx, _, functional) in matching.items():
             pulled = functional @ H
-            if max_abs(pulled) <= 1e-6 * (1.0 + max_abs(functional)) :
+            if max_abs(pulled) <= 1e-6 * (1.0 + max_abs(functional)):
                 witness = _witness_class(tgt, {A2: p_idx, B2: q_idx}, tol)
                 return False, (witness, A, B)
     return True, None
@@ -632,7 +643,7 @@ def _witness_class(cat, pins, tol):
     for A, B in product(objs, repeat=2):
         if A == B:
             continue
-        match = {p: q for p, (q, _) in cat.corner_matching(A, B, tol).items()}
+        match = {p: q for p, (q, _, _) in cat.corner_matching(A, B, tol).items()}
         if match.get(assignment[A]) != assignment[B]:
             zero.add((A, B))
     return OrbitClass(tuple(sorted(assignment.items())), frozenset(zero))
@@ -721,21 +732,10 @@ def linking_category(M: HilbertBimodule, tol: Tolerance = DEFAULT_TOL) -> Finite
         (A, B, A): M.ipA,           # x . y* = <x,y>_A
         (B, A, B): M.ipB,           # y* . x = <y,x>_B (bilinear in dual coords)
     }
-    # y* . a = (a* . y)*   and   b . y* = (y . b*)*
-    star_a = lambda v: Ja @ np.conj(v)
-    star_b = lambda v: Jb @ np.conj(v)
-    T_baa = np.zeros((m, da, m), dtype=complex)
-    for k in range(da):
-        a_star = star_a(np.eye(da)[k])
-        act = np.einsum("i,ijk->jk", a_star, M.left_action)  # row j: a* . y_j
-        T_baa[:, k, :] = np.conj(act)
-    comp[(B, A, A)] = T_baa
-    T_bba = np.zeros((db, m, m), dtype=complex)
-    for k in range(db):
-        b_star = star_b(np.eye(db)[k])
-        act = np.einsum("j,ijk->ik", b_star, M.right_action)  # y -> y . b*
-        T_bba[k, :, :] = np.conj(act)
-    comp[(B, B, A)] = T_bba
+    # y* . a = (a* . y)*   and   b . y* = (y . b*)*, where column k of J is
+    # the coordinate vector of the star of basis vector k
+    comp[(B, A, A)] = np.conj(np.einsum("ik,ijl->jkl", Ja, M.left_action))
+    comp[(B, B, A)] = np.conj(np.einsum("jk,ijl->kil", Jb, M.right_action))
 
     invol = {
         (A, A): Ja, (B, B): Jb,
@@ -755,24 +755,34 @@ def linking_category(M: HilbertBimodule, tol: Tolerance = DEFAULT_TOL) -> Finite
     return cat
 
 
+def _star_defect(ip, J):
+    """[i, j] is max |<x_i,x_j>* - <x_j,x_i>| for inner-product coordinates
+    ip[i, j] and the involution J of the algebra they live in."""
+    stars = np.conj(ip) @ J.T
+    return np.max(np.abs(stars - np.transpose(ip, (1, 0, 2))), axis=2, initial=0.0)
+
+
 def _check_bimodule_axioms(M: HilbertBimodule, cat, tol):
     A, B = LINK_LEFT, LINK_RIGHT
-    m = M.module_dim
-    eye = np.eye(m)
     scale = 1.0 + max(max_abs(M.ipA), max_abs(M.ipB), max_abs(M.left_action),
                       max_abs(M.right_action))
     atol = _axiom_tol(tol, scale)
-    for i, j, k in product(range(m), repeat=3):
-        lhs = cat.compose(A, A, B, M.ipA[i, j], eye[k])
-        rhs = cat.compose(A, B, B, eye[i], M.ipB[j, k])
-        if max_abs(lhs - rhs) > atol:
-            raise BimoduleAxiomViolation(
-                f"compatibility <x,y>_A.z = x.<y,z>_B fails at basis ({i},{j},{k})")
-    for i, j in product(range(m), repeat=2):
-        if max_abs(cat.star(A, A, M.ipA[i, j]) - M.ipA[j, i]) > atol:
-            raise BimoduleAxiomViolation(f"left inner product not hermitian at ({i},{j})")
-        if max_abs(cat.star(B, B, M.ipB[i, j]) - M.ipB[j, i]) > atol:
-            raise BimoduleAxiomViolation(f"right inner product not hermitian at ({i},{j})")
+    # [i, j, k] holds <x_i,x_j>_A . x_k and x_i . <x_j,x_k>_B
+    lhs = np.einsum("ija,akl->ijkl", M.ipA, M.left_action, optimize=True)
+    rhs = np.einsum("ibl,jkb->ijkl", M.right_action, M.ipB, optimize=True)
+    bad = np.argwhere(np.max(np.abs(lhs - rhs), axis=3, initial=0.0) > atol)
+    if bad.size:
+        i, j, k = bad[0]
+        raise BimoduleAxiomViolation(
+            f"compatibility <x,y>_A.z = x.<y,z>_B fails at basis ({i},{j},{k})")
+    # [i, j] compares <x_i,x_j>* with <x_j,x_i>, for the left and the right side
+    dev_left = _star_defect(M.ipA, cat.invol[(A, A)])
+    dev_right = _star_defect(M.ipB, cat.invol[(B, B)])
+    bad = np.argwhere((dev_left > atol) | (dev_right > atol))
+    if bad.size:
+        i, j = bad[0]
+        side = "left" if dev_left[i, j] > atol else "right"
+        raise BimoduleAxiomViolation(f"{side} inner product not hermitian at ({i},{j})")
     for alg_obj, ip, lbl in ((M.algA, M.ipA, "left"), (M.algB, M.ipB, "right")):
         obj = alg_obj.objects[0]
         try:

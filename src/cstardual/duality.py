@@ -8,7 +8,6 @@ checked, never inferred from dimension counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -18,8 +17,8 @@ from .cstarcat import (
     LINK_LEFT,
     LINK_RIGHT,
     StarFunctor,
+    _cstar_norms,
     check_star_functor,
-    cstar_norm,
     linking_category,
 )
 from .errors import InvalidCategory, InvalidSpaceoid
@@ -113,12 +112,13 @@ def check_gelfand_isomorphism(C: FiniteCStarCategory, tol: Tolerance = DEFAULT_T
             continue
         rank = numeric_rank(H, tol) if d else 0
         report.record("homset_bijective", rank == d, f"({A},{B}) rank {rank}/{d}")
+        if d == 0:
+            continue
+        n_src = _cstar_norms(C, A, B, np.eye(d), tol)
+        n_dst = _cstar_norms(F.target, A, B, H, tol)
         for i in range(d):
-            x = np.eye(d)[i]
-            n_src = cstar_norm(C, A, B, x, tol)
-            n_dst = cstar_norm(F.target, A, B, H @ x, tol)
-            dev = abs(n_src - n_dst)
-            report.record("isometric", dev <= NAT_TOL * (1.0 + n_src),
+            dev = float(abs(n_src[i] - n_dst[i]))
+            report.record("isometric", dev <= NAT_TOL * (1.0 + n_src[i]),
                           f"({A},{B}) basis {i}", dev)
     return F, report
 
@@ -156,7 +156,7 @@ def evaluation_transform(S: FiniteSpaceoid, tol: Tolerance = DEFAULT_TOL,
             if devs[k] > NAT_TOL:
                 raise InvalidCategory(
                     f"no spectrum character matches evaluation at ({A},{x})")
-            bm[x] = G.point_label(k)
+            bm[x] = G.point_label(A, k)
         base_maps[A] = bm
 
     m = SpaceoidMorphism(S, S2, {A: A for A in S.objects}, base_maps, {})
@@ -309,19 +309,16 @@ def check_bimodule_isomorphism(M: HilbertBimodule, spec: BimoduleSpectrum,
     inner products; returns the maximum deviation."""
     A, B = LINK_LEFT, LINK_RIGHT
     F = spec.gelfand
-    cat, sec = F.source, F.target
+    sec = F.target
     m = M.module_dim
-    dev = 0.0
     if spec.iso.shape != (m, m) or (m and numeric_rank(spec.iso, tol) != m):
         return float("inf")
-    eye = np.eye(m)
-    for i, j in product(range(m), repeat=2):
-        lhs = F.apply(A, A, M.ipA[i, j])
-        rhs = sec.compose(A, B, A, F.apply(A, B, eye[i]),
-                          sec.star(A, B, F.apply(A, B, eye[j])))
-        dev = max(dev, max_abs(lhs - rhs))
-        lhs = F.apply(B, B, M.ipB[i, j])
-        rhs = sec.compose(B, A, B, sec.star(A, B, F.apply(A, B, eye[i])),
-                          F.apply(A, B, eye[j]))
-        dev = max(dev, max_abs(lhs - rhs))
-    return dev
+    X = F.hom_maps[(A, B)]                 # column i: image of x_i
+    Y = sec.invol[(A, B)] @ np.conj(X)     # column i: image of x_i*
+    # [i, j]: image of <x_i,x_j>_A against x_i . x_j*, and of <x_i,x_j>_B
+    # against x_i* . x_j
+    left = M.ipA @ F.hom_maps[(A, A)].T
+    left -= np.einsum("pi,qj,pqk->ijk", X, Y, sec.comp[(A, B, A)], optimize=True)
+    right = M.ipB @ F.hom_maps[(B, B)].T
+    right -= np.einsum("pi,qj,pqk->ijk", Y, X, sec.comp[(B, A, B)], optimize=True)
+    return max(max_abs(left), max_abs(right))

@@ -160,8 +160,11 @@ class GelfandData:
     hat: dict
     frames: dict
 
-    def point_label(self, k: int) -> str:
-        return f"{k:02d}"
+    def point_label(self, A, k: int) -> str:
+        """Label of the k-th base point over A, zero-padded to one width per
+        diagonal so that string order is index order."""
+        width = max(2, len(str(len(self.diag[A]) - 1)))
+        return f"{k:0{width}d}"
 
 
 def _frame_vector(cat, A, B, basis_vec, tol):
@@ -207,20 +210,23 @@ def spectral_spaceoid(C: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL):
     for A in objs:
         omega = C.character_matrix(A, tol)
         gd.diag[A] = omega
-        base_sets[A] = [gd.point_label(k) for k in range(omega.shape[0])]
+        base_sets[A] = [gd.point_label(A, k) for k in range(omega.shape[0])]
 
     points = {}
     frames = {}
+    coords = {}
     for A, B in product(objs, repeat=2):
         if A == B:
             continue
         matching = C.corner_matching(A, B, tol)
         pts = []
         for p_idx in sorted(matching):
-            q_idx, gen = matching[p_idx]
-            pts.append((gd.point_label(p_idx), gd.point_label(q_idx)))
-            frames[(A, B, gd.point_label(p_idx), gd.point_label(q_idx))] = \
-                _frame_vector(C, A, B, gen, tol)
+            q_idx, gen, functional = matching[p_idx]
+            key = (A, B, gd.point_label(A, p_idx), gd.point_label(B, q_idx))
+            pts.append(key[2:])
+            frames[key] = _frame_vector(C, A, B, gen, tol)
+            # frame = s . gen with |gen| = 1, so frame* K / |frame|^2 = gen* K / s
+            coords[key] = functional / np.vdot(gen, frames[key])
         points[(A, B)] = pts
         total = len(pts)
         if total != C.dim(A, B):
@@ -267,12 +273,7 @@ def spectral_spaceoid(C: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL):
             if S.points[(A, B)] else np.zeros((0, C.dim(A, B)), dtype=complex)
         hat = np.zeros((C.dim(A, B), len(S.points[(A, B)])), dtype=complex)
         for n, h in enumerate(S.hom_points(A, B)):
-            p = C.characters(A, tol)[int(S.target(h))]
-            q = C.characters(B, tol)[int(S.source(h))]
-            K = corner_projection_matrix(C, A, B, p, q, tol)
-            frame = frame_by_handle[h]
-            denom = np.vdot(frame, frame).real
-            hat[:, n] = (frame.conj() @ K) / denom
+            hat[:, n] = coords[(A, B, S.target(h), S.source(h))]
         gd.hat[(A, B)] = hat
     return S, gd
 
@@ -321,7 +322,7 @@ def sigma_on_morphism(F: StarFunctor, tol: Tolerance = DEFAULT_TOL,
         for k, row in enumerate(G2.diag[A2]):
             pull = row @ F.hom_maps[(A, A)]
             idx = _match_character(omega_src, pull, f"({A2}, char {k})")
-            bm[G2.point_label(k)] = G1.point_label(idx)
+            bm[G2.point_label(A2, k)] = G1.point_label(A, idx)
         base_maps[A2] = bm
 
     m = SpaceoidMorphism(S2, S1, inv_obj, base_maps, {})

@@ -1,15 +1,14 @@
 """Dense complex linear algebra kernels used by every other module.
 
-Hermitian eigendecomposition is done with cyclic Jacobi rotations (sizes here
-stay well under ~200, where Jacobi is accurate and simple).  Simultaneous
-diagonalization of a commuting normal family uses the random-combination
-technique: eigendecompose a seeded random real combination of the Hermitian
-and anti-Hermitian parts and recurse on degenerate eigenvalue clusters.
+Hermitian eigendecompositions and singular values come from LAPACK (``eigh``
+and ``svd``).  Simultaneous diagonalization of a commuting normal family uses
+the random-combination technique: eigendecompose a seeded random real
+combination of the Hermitian and anti-Hermitian parts and recurse on
+degenerate eigenvalue clusters.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,6 @@ import numpy as np
 from .errors import NoConvergence, NotCommuting, NotHermitian, NotNormal, NotSquare
 from .rng import Xoshiro256StarStar
 
-MAX_SWEEPS = 100
 _SIMDIAG_SEED = 0x51DE0C1E
 _CLUSTER_REL_GAP = 1e-6
 
@@ -54,7 +52,7 @@ def _as_square(M) -> np.ndarray:
 
 
 def hermitian_eig(M, tol: Tolerance = DEFAULT_TOL):
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a Hermitian matrix (LAPACK ``eigh``).
 
     Parameters
     ----------
@@ -67,72 +65,26 @@ def hermitian_eig(M, tol: Tolerance = DEFAULT_TOL):
     U : (n, n) complex ndarray, unitary, ``M ~ U @ diag(eigenvalues) @ U*``.
     """
     A = _as_square(M)
-    n = A.shape[0]
     if max_abs(A - A.conj().T) > tol.abs_eps:
         raise NotHermitian("matrix is not Hermitian within abs_eps")
-    if n == 0:
-        return np.zeros(0), np.zeros((0, 0), dtype=complex)
-
-    A = (A + A.conj().T) / 2.0
-    U = np.eye(n, dtype=complex)
-    scale = max(1.0, max_abs(A))
-    # Zeroing threshold far below the reconstruction budget 10*abs_eps*(1+scale).
-    skip = tol.abs_eps * (1.0 + scale) / (20.0 * n * n)
-
-    for _ in range(MAX_SWEEPS):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                a = A[p, q]
-                r = abs(a)
-                if r <= skip:
-                    continue
-                rotated = True
-                u = a / r
-                tau = (A[p, p].real - A[q, q].real) / (2.0 * r)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # V = I except V[[p,q],[p,q]] = [[c, -s], [s*conj(u), c*conj(u)]]
-                col_p, col_q = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * col_p + s * np.conj(u) * col_q
-                A[:, q] = -s * col_p + c * np.conj(u) * col_q
-                row_p, row_q = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * row_p + s * u * row_q
-                A[q, :] = -s * row_p + c * u * row_q
-                A[p, p] = A[p, p].real
-                A[q, q] = A[q, q].real
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                col_p, col_q = U[:, p].copy(), U[:, q].copy()
-                U[:, p] = c * col_p + s * np.conj(u) * col_q
-                U[:, q] = -s * col_p + c * np.conj(u) * col_q
-        if not rotated:
-            break
-    else:
-        raise NoConvergence(f"Jacobi did not converge in {MAX_SWEEPS} sweeps")
-
-    evals = np.real(np.diag(A))
-    order = np.argsort(evals, kind="stable")
-    return evals[order], U[:, order]
+    try:
+        evals, U = np.linalg.eigh((A + A.conj().T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigh did not converge: {exc}")
+    return evals, U
 
 
 def numeric_rank(M, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Number of singular values above ``rel_eps * smax + abs_eps``.
-
-    Computed through the Hermitian eigendecomposition of ``M* M``, whose
-    eigenvalue noise floor is machine precision relative to ``smax**2``;
-    eigenvalues below that floor are treated as exact zeros (the squared
-    formulation cannot resolve singular values under ``~1e-8 * smax``).
-    """
+    """Number of singular values (LAPACK ``svd``) above
+    ``rel_eps * smax + abs_eps``."""
     A = np.asarray(M, dtype=complex)
     if A.size == 0:
         return 0
-    evals, _ = hermitian_eig(A.conj().T @ A, tol)
-    floor = np.finfo(float).eps * max(A.shape) * (evals[-1] if evals.size else 0.0)
-    sing = np.sqrt(np.clip(evals, 0.0, None) * (evals > floor))
-    smax = sing[-1] if sing.size else 0.0
-    return int(np.sum(sing > tol.rel_eps * smax + tol.abs_eps))
+    try:
+        sing = np.linalg.svd(A, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"svd did not converge: {exc}")
+    return int(np.sum(sing > tol.rel_eps * sing[0] + tol.abs_eps))
 
 
 def _check_family(Ms, tol: Tolerance):

@@ -14,10 +14,10 @@ from cstardual.cstarcat import (
     linking_category,
     validate_category,
 )
-from cstardual.errors import BimoduleAxiomViolation, HolonomyViolation
+from cstardual.errors import BimoduleAxiomViolation, DiagonalNotSemisimple, HolonomyViolation
 from cstardual.functors import sections_category
 from cstardual.generators import GenParams, gen_category
-from cstardual.numlin import max_abs
+from cstardual.numlin import Tolerance, max_abs
 
 from conftest import diagonal_support_bimodule, functions_algebra, pointwise_tensor
 
@@ -86,6 +86,12 @@ class TestCharacters:
         chars = characters_of_diagonal(c2_negative_square, "A")
         vals = sorted(np.round(c.values[1].imag, 9) for c in chars)
         assert vals == [-1.0, 1.0]
+
+    def test_cache_keyed_by_tolerance(self, c2_selfadjoint):
+        assert len(c2_selfadjoint.characters("A")) == 2
+        # at this tolerance the two characters coincide, cached or not
+        with pytest.raises(DiagonalNotSemisimple):
+            c2_selfadjoint.characters("A", Tolerance(abs_eps=10.0))
 
 
 class TestCorner:
@@ -233,6 +239,23 @@ class TestStarFunctors:
         assert ok
 
 
+def compatibility_broken_bimodule():
+    # <x_2,x_1>_A acts on x_0 and x_1, x_2 . <x_1,x_k>_B on neither:
+    # triples (2,1,0) and (2,1,1) fail, the first is reported
+    M = diagonal_support_bimodule(3, 3, [(0, 0), (1, 1), (2, 2)])
+    M.ipA[2, 1, :] = [0.5, 0.5, 0.0]
+    return M
+
+
+def non_hermitian_bimodule():
+    # coordinate 2 of either algebra acts on no basis vector, so only the
+    # hermitian checks see it: left fails at (1,1), right at (0,1) first
+    M = diagonal_support_bimodule(3, 3, [(0, 0), (1, 1)])
+    M.ipA[1, 1, 2] = 1j
+    M.ipB[1, 0, 2] = 1j
+    return M
+
+
 class TestLinkingCategory:
     def test_zero_module_gives_discrete(self):
         M = diagonal_support_bimodule(1, 1, [])
@@ -259,6 +282,15 @@ class TestLinkingCategory:
         M.ipA[0, 0, 0] = -1.0  # breaks positivity on the left
         with pytest.raises(BimoduleAxiomViolation):
             linking_category(M)
+
+    @pytest.mark.parametrize("make, message", [
+        (compatibility_broken_bimodule, "compatibility <x,y>_A.z = x.<y,z>_B fails at basis (2,1,0)"),
+        (non_hermitian_bimodule, "right inner product not hermitian at (0,1)"),
+    ])
+    def test_bimodule_axiom_witness(self, make, message):
+        with pytest.raises(BimoduleAxiomViolation) as exc:
+            linking_category(make())
+        assert str(exc.value) == message
 
 
 def test_holonomy_violation_detected():

@@ -18,8 +18,11 @@ from cstardual.generators import (
     gen_functor_pair,
     gen_morphism_pair,
     gen_spaceoid,
+    scramble_category,
 )
+from cstardual.rng import Xoshiro256StarStar
 from cstardual.spaceoid import (
+    FiniteSpaceoid,
     apply_gauge,
     compose_morphisms,
     identity_morphism,
@@ -66,6 +69,17 @@ class TestGelfandTransform:
             cat, _ = gen_category(params)
             F, report = check_gelfand_isomorphism(cat)
             assert report.ok, (seed, str(report))
+
+    def test_labels_keep_index_order_past_100_points(self):
+        # 101 characters need 3-digit labels: "100" must sort after "99"
+        base = [f"x{k}" for k in range(101)]
+        S = FiniteSpaceoid(["A", "B"], {"A": base, "B": ["y"]},
+                           {("A", "B"): [("x0", "y")], ("B", "A"): [("y", "x0")]})
+        cat, _ = scramble_category(sections_category(S), Xoshiro256StarStar(101), "unitary")
+        S2, G = spectral_spaceoid(cat)
+        assert sorted(S2.base_sets["A"]) == list(S2.base_sets["A"])
+        _, report = check_gelfand_isomorphism(cat, spectrum=(S2, G))
+        assert report.ok, str(report)
 
 
 class TestEvaluationTransform:

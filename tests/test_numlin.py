@@ -145,6 +145,15 @@ class TestNumericRank:
         # singular values 2, 0 by hand
         assert numeric_rank(np.ones((2, 2))) == 1
 
+    @pytest.mark.parametrize("M, rank", [
+        # 1e-8 lies above the threshold rel_eps * 1 + abs_eps = 2e-9
+        (np.diag([1.0, 1e-8]), 2),
+        # singular values 2e300 and 0: squaring them would overflow
+        (np.full((2, 2), 1e300), 1),
+    ])
+    def test_threshold_on_singular_values(self, M, rank):
+        assert numeric_rank(M) == rank
+
     @given(st.integers(0, 10_000), st.integers(1, 8), st.integers(1, 8))
     @settings(max_examples=40, deadline=None)
     def test_rank_of_adjoint(self, seed, n, m):
