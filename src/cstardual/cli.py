@@ -12,14 +12,7 @@ from pathlib import Path
 
 from . import duality, jsonio
 from .cstarcat import validate_category, check_star_functor
-from .errors import (
-    CornerDimensionExceedsOne,
-    CstarDualError,
-    DegenerateFunctor,
-    DiagonalNotSemisimple,
-    HolonomyViolation,
-    SchemaError,
-)
+from .errors import CstarDualError, DegenerateFunctor, DiagonalNotSemisimple, SchemaError
 from .functors import sections_category, sigma_on_morphism, spectral_spaceoid
 from .generators import GenParams, gen_category, gen_spaceoid
 from .numlin import Tolerance
@@ -140,7 +133,6 @@ def cmd_roundtrip(args):
     ok = True
     if cat is not None:
         F, report = duality.check_gelfand_isomorphism(cat, tol)
-        dev = max([f.deviation for f in report.failures], default=0.0)
         payload["gelfand"] = {"pass": report.ok, "failures": report.to_json()["failures"]}
         lines.append(f"algebra-side transform: {'pass' if report.ok else 'FAIL'}")
         ok = ok and report.ok
@@ -157,7 +149,7 @@ def cmd_roundtrip(args):
         if rep.ok:
             inv = invert_morphism(ev)
             inv_ok = validate_morphism(inv, tol).ok
-            ident, dev = morphisms_equal(
+            ident, _ = morphisms_equal(
                 compose_morphisms(ev, inv), identity_morphism(S))
             inv_ok = inv_ok and ident
         sec = sections_category(S, tol, check=False)
@@ -311,8 +303,7 @@ def main(argv=None) -> int:
     except DegenerateFunctor as exc:
         print(f"degenerate functor: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (CornerDimensionExceedsOne, HolonomyViolation,
-            DiagonalNotSemisimple, CstarDualError) as exc:
+    except CstarDualError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

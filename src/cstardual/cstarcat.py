@@ -225,8 +225,6 @@ def _characters_by_gram(cat, A, tol):
     """Characters through the canonical inner product <x,y> = phi(x* y) with
     phi = tr o L.  In a *-orthonormal basis the left-multiplication operators
     become normal, so the family is handled by simultaneous_diag."""
-    if cat.dim(A, A) == 0:
-        raise DiagonalNotSemisimple(f"diagonal at {A} is zero-dimensional")
     T = cat.comp[(A, A, A)]
     lmats = np.transpose(T, (0, 2, 1))  # lmats[i] is the matrix of x -> b_i . x
     phi = np.einsum("ijj->i", T)
@@ -267,6 +265,8 @@ def _characters_by_similarity(cat, A, tol):
 
 
 def _diagonal_characters(cat, A, tol):
+    if cat.dim(A, A) == 0:  # neither path applies to the zero algebra
+        raise DiagonalNotSemisimple(f"diagonal at {A} is zero-dimensional")
     try:
         return _characters_by_gram(cat, A, tol)
     except DiagonalNotSemisimple:

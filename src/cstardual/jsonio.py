@@ -10,6 +10,7 @@ ids are strings, unique within a document.
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 
@@ -22,15 +23,17 @@ from .spaceoid import FiniteSpaceoid, SpaceoidMorphism
 # complex leaves
 # ---------------------------------------------------------------------------
 
+# A JSON number is finite when its magnitude is at most this; the bound also
+# rejects integer literals too large to become a double.
+_FLOAT_MAX = sys.float_info.max
+
 def complex_to_json(z):
     z = complex(z)
     return [z.real, z.imag]
 
 def array_to_json(a):
     a = np.asarray(a, dtype=complex)
-    if a.ndim == 0:
-        return complex_to_json(a[()])
-    return [array_to_json(row) for row in a]
+    return np.stack([a.real, a.imag], -1).tolist()
 
 def _expect(cond, path, message):
     if not cond:
@@ -39,35 +42,77 @@ def _expect(cond, path, message):
 def json_to_complex(v, path):
     _expect(isinstance(v, (list, tuple)) and len(v) == 2, path,
             "expected [re, im] pair")
-    _expect(all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v),
-            path, "re/im must be numbers")
-    _expect(all(np.isfinite(x) for x in v), path, "entries must be finite")
+    _expect(all(type(x) in (int, float) for x in v), path, "re/im must be numbers")
+    _expect(all(abs(x) <= _FLOAT_MAX for x in v), path, "entries must be finite")
     return complex(v[0], v[1])
 
 def json_to_array(v, shape, path):
-    """Nested [re, im] arrays into a complex ndarray of the given shape."""
-    out = np.zeros(shape, dtype=complex)
-    if 0 in shape:
-        return out
-    def fill(node, idx, dims):
-        if not dims:
-            out[idx] = json_to_complex(node, f"{path}{list(idx)}")
-            return
-        _expect(isinstance(node, list) and len(node) == dims[0],
-                f"{path}{list(idx)}", f"expected list of length {dims[0]}")
-        for i, sub in enumerate(node):
-            fill(sub, idx + (i,), dims[1:])
-    fill(v, (), list(shape))
-    return out
+    """Nested [re, im] arrays into a complex ndarray of the given shape.
 
+    Leaves must be plain ints or floats and finite; an error names the
+    first offending [re, im] pair in index order."""
+    shape = tuple(shape)
+    if 0 in shape:
+        return np.zeros(shape, dtype=complex)
+    raw = np.array(v, dtype=object)
+    _expect(raw.shape == shape + (2,), path, f"expected shape {list(shape + (2,))}")
+    kinds = np.frompyfunc(type, 1, 1)(raw)
+    wrong = (kinds != int) & (kinds != float)
+    raw[wrong] = 0.0
+    with np.errstate(invalid="ignore"):  # NaN compares false, as intended
+        infinite = ~(np.abs(raw) <= _FLOAT_MAX)
+    bad = np.argwhere(wrong.any(-1) | infinite.any(-1))
+    if bad.size:
+        here = f"{path}{bad[0].tolist()}"
+        _expect(not wrong[tuple(bad[0])].any(), here, "re/im must be numbers")
+        raise SchemaError(here, "entries must be finite")
+    return raw.astype(float).view(complex).reshape(shape)
+
+
+# ---------------------------------------------------------------------------
+# schema helpers
+# ---------------------------------------------------------------------------
 
 def _pair_key(A, B):
     return f"{A}|{B}"
 
-def _split_key(key, parts, path):
-    bits = key.split("|")
-    _expect(len(bits) == parts, path, f"expected {parts} '|'-separated labels")
-    return tuple(bits)
+def _object(v, path, *required):
+    """``v``, which must be a JSON object holding every ``required`` field."""
+    _expect(isinstance(v, dict), path, "expected object")
+    for key in required:
+        _expect(key in v, path, f"missing field '{key}'")
+    return v
+
+def _object_labels(v, path):
+    _expect(isinstance(v, list) and v and all(isinstance(o, str) for o in v), path,
+            "expected nonempty list of strings")
+    return v
+
+def _labelled(v, parts, objects, path):
+    """Entries of the JSON object ``v`` keyed ``A|B`` (``parts`` 2) or
+    ``A|B|C`` (``parts`` 3), each label one of ``objects``; yields
+    ``(labels, path of the entry, value)``."""
+    for key, val in _object(v, path).items():
+        here = f"{path}.{key}"
+        labels = tuple(key.split("|"))
+        _expect(len(labels) == parts, here, f"expected {parts} '|'-separated labels")
+        for label in labels:
+            _expect(label in objects, here, f"undeclared object '{label}'")
+        yield labels, here, val
+
+def _construct(path, cls, *args):
+    """``cls(*args)``, with a ``ValueError`` from the constructor as a schema error."""
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise SchemaError(path, str(exc))
+
+def _obj_map(v, src, tgt, path):
+    """An ``obj_map`` field: a JSON object from the source objects to target objects."""
+    _object(v, path)
+    _expect(sorted(v) == sorted(src.objects), path, "keys must be the source objects")
+    _expect(all(B in tgt.objects for B in v.values()), path, "values must be target objects")
+    return dict(v)
 
 
 # ---------------------------------------------------------------------------
@@ -93,41 +138,25 @@ def category_to_json(cat: FiniteCStarCategory):
 
 
 def category_from_json(doc, path="category"):
-    _expect(isinstance(doc, dict), path, "expected object")
-    for key in ("objects", "dims", "units"):
-        _expect(key in doc, path, f"missing field '{key}'")
-    objs = doc["objects"]
-    _expect(isinstance(objs, list) and objs and
-            all(isinstance(o, str) for o in objs), f"{path}.objects",
-            "expected nonempty list of strings")
+    _object(doc, path, "objects", "dims", "units")
+    objs = _object_labels(doc["objects"], f"{path}.objects")
     dims = {}
-    for key, val in doc["dims"].items():
-        A, B = _split_key(key, 2, f"{path}.dims.{key}")
-        _expect(isinstance(val, int) and val >= 0, f"{path}.dims.{key}",
-                "expected nonnegative integer")
+    for (A, B), here, val in _labelled(doc["dims"], 2, objs, f"{path}.dims"):
+        _expect(type(val) is int and val >= 0, here, "expected nonnegative integer")
         dims[(A, B)] = val
     for A in objs:
         for B in objs:
             _expect((A, B) in dims, f"{path}.dims", f"missing '{A}|{B}'")
     comp = {}
-    for key, val in doc.get("comp", {}).items():
-        A, B, C = _split_key(key, 3, f"{path}.comp.{key}")
-        shape = (dims[(A, B)], dims[(B, C)], dims[(A, C)])
-        comp[(A, B, C)] = json_to_array(val, shape, f"{path}.comp.{key}")
+    for (A, B, C), here, val in _labelled(doc.get("comp", {}), 3, objs, f"{path}.comp"):
+        comp[(A, B, C)] = json_to_array(val, (dims[(A, B)], dims[(B, C)], dims[(A, C)]), here)
     invol = {}
-    for key, val in doc.get("invol", {}).items():
-        A, B = _split_key(key, 2, f"{path}.invol.{key}")
-        shape = (dims[(B, A)], dims[(A, B)])
-        invol[(A, B)] = json_to_array(val, shape, f"{path}.invol.{key}")
-    units = {}
-    for A in objs:
-        _expect(A in doc["units"], f"{path}.units", f"missing '{A}'")
-        units[A] = json_to_array(doc["units"][A], (dims[(A, A)],),
-                                 f"{path}.units.{A}")
-    try:
-        return FiniteCStarCategory(objs, dims, comp, invol, units)
-    except ValueError as exc:
-        raise SchemaError(path, str(exc))
+    for (A, B), here, val in _labelled(doc.get("invol", {}), 2, objs, f"{path}.invol"):
+        invol[(A, B)] = json_to_array(val, (dims[(B, A)], dims[(A, B)]), here)
+    doc_units = _object(doc["units"], f"{path}.units", *objs)
+    units = {A: json_to_array(doc_units[A], (dims[(A, A)],), f"{path}.units.{A}")
+             for A in objs}
+    return _construct(path, FiniteCStarCategory, objs, dims, comp, invol, units)
 
 
 # ---------------------------------------------------------------------------
@@ -159,30 +188,24 @@ def spaceoid_to_json(S: FiniteSpaceoid):
 
 
 def spaceoid_from_json(doc, path="spaceoid"):
-    _expect(isinstance(doc, dict), path, "expected object")
-    for key in ("objects", "base_sets"):
-        _expect(key in doc, path, f"missing field '{key}'")
-    objs = doc["objects"]
-    _expect(isinstance(objs, list) and objs and
-            all(isinstance(o, str) for o in objs), f"{path}.objects",
-            "expected nonempty list of strings")
+    _object(doc, path, "objects", "base_sets")
+    objs = _object_labels(doc["objects"], f"{path}.objects")
+    base_sets = _object(doc["base_sets"], f"{path}.base_sets", *objs)
     base = {}
     for A in objs:
-        _expect(A in doc["base_sets"], f"{path}.base_sets", f"missing '{A}'")
-        labels = doc["base_sets"][A]
+        labels = base_sets[A]
         _expect(isinstance(labels, list) and labels, f"{path}.base_sets.{A}",
                 "expected nonempty list")
         base[A] = [str(x) for x in labels]
     points = {}
     nu = {}
     ids = {}
-    for key, lst in doc.get("points", {}).items():
-        A, B = _split_key(key, 2, f"{path}.points.{key}")
-        _expect(A != B, f"{path}.points.{key}", "diagonal points are implicit")
-        _expect(isinstance(lst, list), f"{path}.points.{key}", "expected list")
+    for (A, B), key_path, lst in _labelled(doc.get("points", {}), 2, objs, f"{path}.points"):
+        _expect(A != B, key_path, "diagonal points are implicit")
+        _expect(isinstance(lst, list), key_path, "expected list")
         pts = []
         for i, entry in enumerate(lst):
-            here = f"{path}.points.{key}[{i}]"
+            here = f"{key_path}[{i}]"
             _expect(isinstance(entry, dict) and {"id", "t", "s"} <= set(entry),
                     here, "expected {id, t, s[, nu]}")
             pid = str(entry["id"])
@@ -192,8 +215,10 @@ def spaceoid_from_json(doc, path="spaceoid"):
             if "nu" in entry:
                 nu[(A, B, i)] = json_to_complex(entry["nu"], f"{here}.nu")
         points[(A, B)] = pts
+    phases = doc.get("phases", [])
+    _expect(isinstance(phases, list), f"{path}.phases", "expected list")
     cphase = {}
-    for n, entry in enumerate(doc.get("phases", [])):
+    for n, entry in enumerate(phases):
         here = f"{path}.phases[{n}]"
         _expect(isinstance(entry, dict) and {"p", "q", "c"} <= set(entry),
                 here, "expected {p, q, c}")
@@ -203,10 +228,7 @@ def spaceoid_from_json(doc, path="spaceoid"):
         h1, h2 = ids[str(entry["p"])], ids[str(entry["q"])]
         _expect(h1[1] == h2[0], here, "phase pair is not adjacent")
         cphase[(h1, h2)] = json_to_complex(entry["c"], f"{here}.c")
-    try:
-        return FiniteSpaceoid(objs, base, points, nu, cphase)
-    except ValueError as exc:
-        raise SchemaError(path, str(exc))
+    return _construct(path, FiniteSpaceoid, objs, base, points, nu, cphase)
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +246,9 @@ def _algebra_to_json(alg: FiniteCStarCategory):
 
 
 def _algebra_from_json(doc, label, path):
-    _expect(isinstance(doc, dict), path, "expected object")
-    for key in ("dim", "comp", "invol", "unit"):
-        _expect(key in doc, path, f"missing field '{key}'")
+    _object(doc, path, "dim", "comp", "invol", "unit")
     d = doc["dim"]
-    _expect(isinstance(d, int) and d >= 1, f"{path}.dim", "expected positive integer")
+    _expect(type(d) is int and d >= 1, f"{path}.dim", "expected positive integer")
     comp = json_to_array(doc["comp"], (d, d, d), f"{path}.comp")
     invol = json_to_array(doc["invol"], (d, d), f"{path}.invol")
     unit = json_to_array(doc["unit"], (d,), f"{path}.unit")
@@ -248,26 +268,21 @@ def bimodule_to_json(M: HilbertBimodule):
 
 
 def bimodule_from_json(doc, path="bimodule"):
-    _expect(isinstance(doc, dict), path, "expected object")
-    for key in ("algA", "algB", "module_dim", "left_action", "right_action",
-                "ipA", "ipB"):
-        _expect(key in doc, path, f"missing field '{key}'")
+    _object(doc, path, "algA", "algB", "module_dim", "left_action", "right_action",
+            "ipA", "ipB")
     algA = _algebra_from_json(doc["algA"], "algA", f"{path}.algA")
     algB = _algebra_from_json(doc["algB"], "algB", f"{path}.algB")
     m = doc["module_dim"]
-    _expect(isinstance(m, int) and m >= 0, f"{path}.module_dim",
+    _expect(type(m) is int and m >= 0, f"{path}.module_dim",
             "expected nonnegative integer")
     da = algA.dim("algA", "algA")
     db = algB.dim("algB", "algB")
-    try:
-        return HilbertBimodule(
-            algA, algB, m,
-            json_to_array(doc["left_action"], (da, m, m), f"{path}.left_action"),
-            json_to_array(doc["right_action"], (m, db, m), f"{path}.right_action"),
-            json_to_array(doc["ipA"], (m, m, da), f"{path}.ipA"),
-            json_to_array(doc["ipB"], (m, m, db), f"{path}.ipB"))
-    except ValueError as exc:
-        raise SchemaError(path, str(exc))
+    return _construct(
+        path, HilbertBimodule, algA, algB, m,
+        json_to_array(doc["left_action"], (da, m, m), f"{path}.left_action"),
+        json_to_array(doc["right_action"], (m, db, m), f"{path}.right_action"),
+        json_to_array(doc["ipA"], (m, m, da), f"{path}.ipA"),
+        json_to_array(doc["ipB"], (m, m, db), f"{path}.ipB"))
 
 
 # ---------------------------------------------------------------------------
@@ -288,31 +303,23 @@ def functor_to_json(F: StarFunctor):
 
 
 def functor_from_json(doc, path="functor"):
-    _expect(isinstance(doc, dict), path, "expected object")
-    _expect(doc.get("kind") == "star_functor", f"{path}.kind",
-            "expected 'star_functor'")
-    for key in ("source", "target", "obj_map", "hom_maps"):
-        _expect(key in doc, path, f"missing field '{key}'")
+    _object(doc, path, "source", "target", "obj_map", "hom_maps")
+    _expect(doc.get("kind") == "star_functor", f"{path}.kind", "expected 'star_functor'")
     src = category_from_json(doc["source"], f"{path}.source")
     tgt = category_from_json(doc["target"], f"{path}.target")
-    obj_map = doc["obj_map"]
-    _expect(isinstance(obj_map, dict), f"{path}.obj_map", "expected object")
-    _expect(sorted(obj_map) == sorted(src.objects), f"{path}.obj_map",
-            "keys must be the source objects")
+    obj_map = _obj_map(doc["obj_map"], src, tgt, f"{path}.obj_map")
     _expect(sorted(obj_map.values()) == sorted(tgt.objects), f"{path}.obj_map",
             "values must enumerate the target objects")
+    given = {AB: val for AB, _, val in
+             _labelled(doc["hom_maps"], 2, src.objects, f"{path}.hom_maps")}
     homs = {}
     for A in src.objects:
         for B in src.objects:
             key = _pair_key(A, B)
             shape = (tgt.dim(obj_map[A], obj_map[B]), src.dim(A, B))
-            if key in doc["hom_maps"]:
-                homs[(A, B)] = json_to_array(doc["hom_maps"][key], shape,
-                                             f"{path}.hom_maps.{key}")
-            else:
-                _expect(0 in shape, f"{path}.hom_maps", f"missing '{key}'")
-                homs[(A, B)] = np.zeros(shape, dtype=complex)
-    return StarFunctor(src, tgt, dict(obj_map), homs)
+            _expect((A, B) in given or 0 in shape, f"{path}.hom_maps", f"missing '{key}'")
+            homs[(A, B)] = json_to_array(given.get((A, B)), shape, f"{path}.hom_maps.{key}")
+    return StarFunctor(src, tgt, obj_map, homs)
 
 
 def morphism_to_json(m: SpaceoidMorphism):
@@ -330,31 +337,22 @@ def morphism_to_json(m: SpaceoidMorphism):
 
 
 def morphism_from_json(doc, path="morphism"):
-    _expect(isinstance(doc, dict), path, "expected object")
+    _object(doc, path, "source", "target", "obj_map", "base_maps")
     _expect(doc.get("kind") == "spaceoid_morphism", f"{path}.kind",
             "expected 'spaceoid_morphism'")
-    for key in ("source", "target", "obj_map", "base_maps"):
-        _expect(key in doc, path, f"missing field '{key}'")
     src = spaceoid_from_json(doc["source"], f"{path}.source")
     tgt = spaceoid_from_json(doc["target"], f"{path}.target")
-    obj_map = doc["obj_map"]
-    _expect(isinstance(obj_map, dict), f"{path}.obj_map", "expected object")
-    _expect(sorted(obj_map) == sorted(src.objects), f"{path}.obj_map",
-            "keys must be the source objects")
-    _expect(set(obj_map.values()) <= set(tgt.objects), f"{path}.obj_map",
-            "values must be target objects")
-    base_maps = {}
-    for A in src.objects:
-        _expect(A in doc["base_maps"], f"{path}.base_maps", f"missing '{A}'")
-        bm = doc["base_maps"][A]
-        _expect(isinstance(bm, dict), f"{path}.base_maps.{A}", "expected object")
-        base_maps[A] = {str(k): str(v) for k, v in bm.items()}
+    obj_map = _obj_map(doc["obj_map"], src, tgt, f"{path}.obj_map")
+    doc_base_maps = _object(doc["base_maps"], f"{path}.base_maps", *src.objects)
+    base_maps = {A: {str(k): str(v) for k, v in
+                     _object(doc_base_maps[A], f"{path}.base_maps.{A}").items()}
+                 for A in src.objects}
     ids = {point_id(src, h): h for h in src.all_points()}
     scalars = {}
-    for pid, val in doc.get("scalars", {}).items():
+    for pid, val in _object(doc.get("scalars", {}), f"{path}.scalars").items():
         _expect(pid in ids, f"{path}.scalars.{pid}", "unknown point id")
         scalars[ids[pid]] = json_to_complex(val, f"{path}.scalars.{pid}")
-    return SpaceoidMorphism(src, tgt, dict(obj_map), base_maps, scalars)
+    return SpaceoidMorphism(src, tgt, obj_map, base_maps, scalars)
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,38 @@ class TestJsonIo:
                 '{"objects": ["A"], "dims": {"A|A": 1}, "units": {"A": [[1, "x"]]}}')
         assert "units" in str(err.value)
 
+    def test_extreme_values_round_trip(self):
+        # signed zero, the smallest subnormal, the largest double, and
+        # integer-valued leaves written both as JSON ints and as floats
+        big = 1.7976931348623157e308
+        pairs = [[[[-0.0, 0.0], [5e-324, -0.0]], [[big, -5e-324], [3, 7]]],
+                 [[[-2, 1.5], [0.0, -big]], [[1e16, 0], [-4.0, 2.0]]]]
+        doc = {"objects": ["A"], "dims": {"A|A": 2},
+               "comp": {"A|A|A": pairs},
+               "invol": {"A|A": [[[1, 0], [0.0, -0.0]], [[0, 0], [1.0, 0.0]]]},
+               "units": {"A": [[1, 0], [1.0, 0.0]]}}
+        _, cat = jsonio.load_document(json.dumps(doc))
+        text = jsonio.dump_json(jsonio.category_to_json(cat))
+        _, cat2 = jsonio.load_document(text)
+        assert jsonio.dump_json(jsonio.category_to_json(cat2)) == text
+        want = np.array(pairs, dtype=float)
+        for loaded in (cat, cat2):
+            got = loaded.comp[("A", "A", "A")].view(float).reshape(want.shape)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("leaf", ["1.0", True, None], ids=["str", "bool", "null"])
+    @pytest.mark.parametrize("part", [0, 1], ids=["re", "im"])
+    def test_non_number_leaf_path(self, leaf, part):
+        pairs = np.zeros((2, 2, 2, 2)).tolist()
+        pairs[0][1][0][part] = leaf
+        pairs[1][1][1][0] = "later"
+        doc = {"objects": ["A"], "dims": {"A|A": 2}, "comp": {"A|A|A": pairs},
+               "units": {"A": [[1.0, 0.0], [0.0, 0.0]]}}
+        with pytest.raises(SchemaError) as err:
+            jsonio.load_document(json.dumps(doc))
+        assert str(err.value) == "category.comp.A|A|A[0, 1, 0]: re/im must be numbers"
+
     def test_malformed_json_position(self):
         with pytest.raises(SchemaError) as err:
             jsonio.load_document("{broken")
@@ -136,13 +168,79 @@ class TestCli:
         assert main(["--format", "json", "spectrum", "--input", str(path)]) == 3
         assert main(["--format", "json", "naturality", "--input", str(path)]) == 3
 
-    def test_nonfinite_entries_rejected(self, tmp_path):
+    @pytest.mark.parametrize("text, message", [
+        # the NaN tensor here is one level short of shape (1, 1, 1, 2)
+        ('{"objects": ["A"], "dims": {"A|A": 1}, '
+         '"comp": {"A|A|A": [[[NaN, 0.0]]]}, '
+         '"invol": {"A|A": [[[1.0, 0.0]]]}, '
+         '"units": {"A": [[1.0, 0.0]]}}',
+         "category.comp.A|A|A: expected shape [1, 1, 1, 2]"),
+        ('{"objects": ["A"], "dims": {"A|A": 1}, '
+         '"comp": {"A|A|A": [[[[NaN, 0.0]]]]}, '
+         '"invol": {"A|A": [[[1.0, 0.0]]]}, '
+         '"units": {"A": [[1.0, 0.0]]}}',
+         "category.comp.A|A|A[0, 0, 0]: entries must be finite"),
+        ('{"objects": ["A"], "dims": {"A|A": 1}, '
+         '"comp": {"A|A|A": [[[[1.0, 1' + "0" * 400 + ']]]]}, '
+         '"invol": {"A|A": [[[1.0, 0.0]]]}, '
+         '"units": {"A": [[1.0, 0.0]]}}',
+         "category.comp.A|A|A[0, 0, 0]: entries must be finite"),
+        ('{"objects": ["A", "B"], "base_sets": {"A": ["a"], "B": ["b"]}, '
+         '"points": {"A|B": [{"id": "p", "t": "a", "s": "b", "nu": [-1' + "0" * 400 + ', 0]}], '
+         '"B|A": [{"id": "q", "t": "b", "s": "a"}]}}',
+         "spaceoid.points.A|B[0].nu: entries must be finite"),
+    ], ids=["nan-short-nesting", "nan", "big-int-leaf", "big-int-nu"])
+    @pytest.mark.parametrize("command", ["validate", "sections"])
+    def test_nonfinite_entries_rejected(self, tmp_path, capsys, text, message, command):
         path = tmp_path / "nan.json"
-        path.write_text('{"objects": ["A"], "dims": {"A|A": 1}, '
-                        '"comp": {"A|A|A": [[[NaN, 0.0]]]}, '
-                        '"invol": {"A|A": [[[1.0, 0.0]]]}, '
-                        '"units": {"A": [[1.0, 0.0]]}}')
+        path.write_text(text)
+        assert main([command, "--input", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("kind, mutate, where", [
+        ("category", lambda d: d.update(dims=[]), "category.dims"),
+        ("category", lambda d: d.update(comp=[]), "category.comp"),
+        ("category", lambda d: d.update(invol="A|B"), "category.invol"),
+        ("category", lambda d: d.update(units=["A", "B"]), "category.units"),
+        ("category", lambda d: d["comp"].update({"A|B|Z": [[[1.0, 0.0]]]}),
+         "category.comp.A|B|Z"),
+        ("category", lambda d: d["dims"].update({"A|Z": 1}), "category.dims.A|Z"),
+        ("category", lambda d: d["dims"].update({"A|B": True}), "category.dims.A|B"),
+        ("spaceoid", lambda d: d.update(base_sets=["A", "B"]), "spaceoid.base_sets"),
+        ("spaceoid", lambda d: d.update(points=[]), "spaceoid.points"),
+        ("spaceoid", lambda d: d.update(phases=5), "spaceoid.phases"),
+        ("spaceoid", lambda d: d.update(points={"A|Z": [{"id": "p", "t": "1", "s": "q"}]}),
+         "spaceoid.points.A|Z"),
+        ("functor", lambda d: d.update(hom_maps=["A|A"]), "functor.hom_maps"),
+        ("morphism", lambda d: d.update(base_maps=["A", "B"]), "morphism.base_maps"),
+        ("morphism", lambda d: d.update(scalars=[]), "morphism.scalars"),
+        ("morphism", lambda d: d["obj_map"].update(A=["A"]), "morphism.obj_map"),
+    ], ids=["dims", "comp", "invol", "units", "comp-label", "dims-label", "dims-bool",
+            "base-sets", "points", "phases", "points-label", "hom-maps", "base-maps",
+            "scalars", "obj-map-value"])
+    def test_malformed_document_rejected(self, tmp_path, capsys, footnote_category,
+                                         e1_spaceoid, kind, mutate, where):
+        m, _ = gen_morphism_pair(GenParams(seed=6, n_objects=2, max_base=2,
+                                           edge_density=0.9, phase_mode="random"))
+        doc = {"category": jsonio.category_to_json(footnote_category),
+               "spaceoid": jsonio.spaceoid_to_json(e1_spaceoid),
+               "functor": jsonio.functor_to_json(identity_functor(footnote_category)),
+               "morphism": jsonio.morphism_to_json(m)}[kind]
+        mutate(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
         assert main(["validate", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f" {where}: " in err
+
+    def test_zero_dimensional_diagonal(self, tmp_path, capsys):
+        path = tmp_path / "zero.json"
+        path.write_text('{"objects": ["A"], "dims": {"A|A": 0}, "units": {"A": []}}')
+        assert main(["--format", "json", "validate", "--input", str(path)]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert [f["check"] for f in doc["failures"]] == ["diagonal_semisimple"]
+        assert main(["--format", "json", "spectrum", "--input", str(path)]) == 2
+        assert "zero-dimensional" in capsys.readouterr().err
 
     def test_link_nonfull(self, tmp_path, nonfull_bimodule, capsys):
         path = tmp_path / "bimodule.json"
