@@ -7,6 +7,7 @@ Exit codes: 0 pass, 1 I/O or schema error, 2 validation failure,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -296,7 +297,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:  # the reader is gone: drop the rest of the output
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -49,7 +49,16 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def record(self, check: str, ok: bool, witness: str = "", deviation: float = 0.0):
+    def record(self, check, ok, witness="", deviation=0.0):
+        """One check; with ``ok`` an array, one per element, where ``check`` and
+        ``deviation`` may be aligned arrays and ``witness(k)`` names failure k."""
+        if np.ndim(ok):
+            checks = np.broadcast_to(np.asarray(check, dtype=object), len(ok)).tolist()
+            devs = np.broadcast_to(np.asarray(deviation, dtype=float), len(ok))
+            self.checks_run += checks
+            self.failures += [CheckFailure(checks[k], witness(k), float(devs[k]))
+                              for k in np.flatnonzero(np.logical_not(ok)).tolist()]
+            return
         self.checks_run.append(check)
         if not ok:
             self.failures.append(CheckFailure(check, witness, deviation))
@@ -466,10 +475,9 @@ def validate_category(cat: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL) ->
         bound = 1e-7 * (1.0 + np.max(np.abs(vals), axis=0))
         neg = np.min(vals.real, axis=0)
         imag = np.max(np.abs(vals.imag), axis=0)
-        for i in range(d):
-            ok = bool(neg[i] >= -bound[i] and imag[i] <= bound[i])
-            report.record("positivity", ok, f"({A},{B}) basis {i}",
-                          float(max(0.0, -neg[i]) + imag[i]))
+        report.record("positivity", (neg >= -bound) & (imag <= bound),
+                      lambda i: f"({A},{B}) basis {i}",
+                      np.where(neg < 0, -neg, 0.0) + imag)
     return report
 
 

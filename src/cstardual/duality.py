@@ -115,11 +115,9 @@ def check_gelfand_isomorphism(C: FiniteCStarCategory, tol: Tolerance = DEFAULT_T
         if d == 0:
             continue
         n_src = _cstar_norms(C, A, B, np.eye(d), tol)
-        n_dst = _cstar_norms(F.target, A, B, H, tol)
-        for i in range(d):
-            dev = float(abs(n_src[i] - n_dst[i]))
-            report.record("isometric", dev <= NAT_TOL * (1.0 + n_src[i]),
-                          f"({A},{B}) basis {i}", dev)
+        dev = np.abs(n_src - _cstar_norms(F.target, A, B, H, tol))
+        report.record("isometric", dev <= NAT_TOL * (1.0 + n_src),
+                      lambda i: f"({A},{B}) basis {i}", dev)
     return F, report
 
 
@@ -246,7 +244,6 @@ class BimoduleSpectrum:
     right_characters: np.ndarray  # rows: character values on algB basis
     left_support: list          # left char indices hit by the bijection
     right_support: list
-    phases: dict                # point handle -> (nu, {pair: c}) summary
     iso: np.ndarray             # (n_points, module_dim)
     section_category: FiniteCStarCategory
     spaceoid: FiniteSpaceoid
@@ -282,20 +279,12 @@ def bimodule_spectrum(M: HilbertBimodule, tol: Tolerance = DEFAULT_TOL) -> Bimod
     F = gelfand_transform(cat, tol, spectrum=spec)
     A, B = LINK_LEFT, LINK_RIGHT
     pairs = [(int(S.target(h)), int(S.source(h))) for h in S.hom_points(A, B)]
-    phases = {}
-    for h in S.hom_points(A, B):
-        phases[h] = {
-            "nu": S.nu_of(h),
-            "c": {str(h2): S.c(h, h2)
-                  for (g, h2) in S.cphase if g == h},
-        }
     return BimoduleSpectrum(
         pairs=pairs,
         left_characters=G.diag[A],
         right_characters=G.diag[B],
         left_support=sorted({p for p, _ in pairs}),
         right_support=sorted({q for _, q in pairs}),
-        phases=phases,
         iso=F.hom_maps[(A, B)].copy(),
         section_category=F.target,
         spaceoid=S,

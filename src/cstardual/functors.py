@@ -27,7 +27,8 @@ from .errors import (
     InvalidSpaceoid,
 )
 from .numlin import DEFAULT_TOL, Tolerance, max_abs
-from .spaceoid import FiniteSpaceoid, SpaceoidMorphism, validate_morphism, validate_spaceoid
+from .spaceoid import (DIAGONAL, NO_COMPOSITE, FiniteSpaceoid, SpaceoidMorphism, _runs,
+                       validate_morphism, validate_spaceoid)
 
 _MATCH_TOL = 1e-6  # character matching across two diagonalizations
 
@@ -55,52 +56,48 @@ def sections_category(S: FiniteSpaceoid, tol: Tolerance = DEFAULT_TOL,
         if not report.ok:
             raise InvalidSpaceoid(f"cannot take sections: {report}")
 
-    objs = S.objects
-    dbase = {A: diag_basis(S, A) for A in objs}
-    dindex = {A: {x: i for i, x in enumerate(dbase[A])} for A in objs}
-    dims = {}
-    for A, B in product(objs, repeat=2):
-        dims[(A, B)] = len(dbase[A]) if A == B else len(S.points[(A, B)])
+    objs, n = S.objects, len(S.objects)
+    dims = {(A, B): len(S.base_sets[A]) if A == B else len(S.points[(A, B)])
+            for A, B in product(objs, repeat=2)}
 
+    # Every nonzero structure constant as the object triple (a, b, c), the
+    # basis indices (i, j, k) in Hom(a,b), Hom(b,c), Hom(a,c) and a value:
+    # products of base points, units acting on points from either side, and
+    # composable pairs onto their composite point, or onto the diagonal where
+    # they close there; a pair without a composite point extends by zero.
+    # Base labels are coded by diagonal basis index.
+    obj, base = _runs(np.zeros(n, dtype=np.int64), [dims[(A, A)] for A in objs])
+    P, Q, R = S._p, S._q, S._r
+    pair = np.flatnonzero((R >= 0) | ((R == DIAGONAL) & (S._slab[Q] == S._tlab[P])))
+    P, Q, R = P[pair], Q[pair], R[pair]
+    tobj, sobj, loc, one = S._tobj, S._sobj, S._local, np.ones(len(S._local))
+    a = np.concatenate([obj, tobj, tobj, tobj[P]])
+    b = np.concatenate([obj, tobj, sobj, sobj[P]])
+    c = np.concatenate([obj, sobj, sobj, sobj[Q]])
+    i = np.concatenate([base, S._tlab, loc, loc[P]])
+    j = np.concatenate([base, loc, S._slab, loc[Q]])
+    k = np.concatenate([base, loc, loc, np.where(R >= 0, loc[R], S._tlab[P])])
+    v = np.concatenate([np.ones(len(base)), one, one, S._c[pair]])
+    triple = (a * n + b) * n + c
+    order = np.argsort(triple, kind="stable")
+    bounds = np.searchsorted(triple[order], np.arange(n ** 3 + 1))
     comp = {}
-    for A, B, C in product(objs, repeat=3):
-        T = np.zeros((dims[(A, B)], dims[(B, C)], dims[(A, C)]), dtype=complex)
-        if A == B == C:
-            for i in range(len(dbase[A])):
-                T[i, i, i] = 1.0
-        elif A == B:
-            for j, h in enumerate(S.hom_points(B, C)):
-                T[dindex[A][S.target(h)], j, j] = 1.0
-        elif B == C:
-            for i, h in enumerate(S.hom_points(A, B)):
-                T[i, dindex[B][S.source(h)], i] = 1.0
-        elif A == C:
-            for i, h1 in enumerate(S.hom_points(A, B)):
-                for j, h2 in enumerate(S.hom_points(B, A)):
-                    if S.composable(h1, h2) and S.source(h2) == S.target(h1):
-                        T[i, j, dindex[A][S.target(h1)]] = S.c(h1, h2)
-        else:
-            for i, h1 in enumerate(S.hom_points(A, B)):
-                for j, h2 in enumerate(S.hom_points(B, C)):
-                    if not S.composable(h1, h2):
-                        continue
-                    h12 = S.lookup(A, C, S.target(h1), S.source(h2))
-                    if h12 is None:
-                        continue  # zero extension off the composable locus
-                    T[i, j, h12[2]] = S.c(h1, h2)
-        comp[(A, B, C)] = T
+    for t, (A, B, C) in enumerate(product(objs, repeat=3)):
+        comp[(A, B, C)] = T = np.zeros((dims[(A, B)], dims[(B, C)], dims[(A, C)]), dtype=complex)
+        sel = order[bounds[t]:bounds[t + 1]]
+        T[i[sel], j[sel], k[sel]] = v[sel]
 
+    star = S._inverses()
     invol = {}
     for A, B in product(objs, repeat=2):
         if A == B:
             invol[(A, B)] = np.eye(dims[(A, B)], dtype=complex)
         else:
-            J = np.zeros((dims[(B, A)], dims[(A, B)]), dtype=complex)
-            for i, h in enumerate(S.hom_points(A, B)):
-                J[S.star(h)[2], i] = S.nu_of(h)
-            invol[(A, B)] = J
+            ps = S._offset[(A, B)] + np.arange(dims[(A, B)])
+            invol[(A, B)] = J = np.zeros((dims[(B, A)], dims[(A, B)]), dtype=complex)
+            J[loc[star[ps]], loc[ps]] = S._nu[ps]
 
-    units = {A: np.ones(len(dbase[A]), dtype=complex) for A in objs}
+    units = {A: np.ones(dims[(A, A)], dtype=complex) for A in objs}
     return FiniteCStarCategory(objs, dims, comp, invol, units)
 
 
@@ -235,46 +232,33 @@ def spectral_spaceoid(C: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL):
                 f"dimension is {C.dim(A, B)}")
 
     S = FiniteSpaceoid(objs, base_sets, points)
-
-    frame_by_handle = {}
-    for A, B in S.points:
-        for h in S.hom_points(A, B):
-            frame_by_handle[h] = frames[(A, B, S.target(h), S.source(h))]
-
-    nu = {}
-    cphase = {}
+    handles = S.all_points()
+    keys = [h[:2] + (S.target(h), S.source(h)) for h in handles]
+    frame = [frames[key] for key in keys]
+    nu = np.empty(len(handles), dtype=complex)
+    c = np.empty(len(S._p), dtype=complex)
     try:
-        for h in S.all_points():
-            A, B, _ = h
-            hs = S.star(h)
-            w = C.star(A, B, frame_by_handle[h])
-            nu[h] = _project_coeff(frame_by_handle[hs], w, tol, f"nu{h}")
-        for h1, h2 in S._composable_pairs():
-            A, B, _ = h1
-            _, Cobj, _ = h2
-            w = C.compose(A, B, Cobj, frame_by_handle[h1], frame_by_handle[h2])
-            h12 = S.compose(h1, h2)
-            if h12 is None:
-                # composite lands on the diagonal: project on the idempotent
-                p_idx = int(S.target(h1))
-                e_p = C.idempotents(A, tol)[:, p_idx]
-                cphase[(h1, h2)] = _project_coeff(e_p, w, tol, f"c{h1},{h2}")
-            else:
-                cphase[(h1, h2)] = _project_coeff(
-                    frame_by_handle[h12], w, tol, f"c{h1},{h2}")
+        for p, h in enumerate(handles):
+            w = C.star(h[0], h[1], frame[p])
+            nu[p] = _project_coeff(frame[S._point(S.star(h))], w, tol, f"nu{h}")
+        for row, (p, q, r) in enumerate(zip(S._p.tolist(), S._q.tolist(), S._r.tolist())):
+            (A, B, _), (_, Cobj, _) = h1, h2 = handles[p], handles[q]
+            w = C.compose(A, B, Cobj, frame[p], frame[q])
+            if r == NO_COMPOSITE:
+                S._composites()  # raises: this is the first row without a composite
+            # a composite on the diagonal: project on the idempotent
+            onto = C.idempotents(A, tol)[:, int(S.target(h1))] if r == DIAGONAL else frame[r]
+            c[row] = _project_coeff(onto, w, tol, f"c{h1},{h2}")
     except InvalidSpaceoid as exc:
         # matching produced no inverse/composite point: invalid input category
         raise HolonomyViolation(str(exc))
 
-    S = FiniteSpaceoid(objs, base_sets, S.points, nu, cphase)
+    S = S._with_phases(nu, c)
     for A, B in S.points:
-        gd.frames[(A, B)] = np.array(
-            [frame_by_handle[h] for h in S.hom_points(A, B)]) \
-            if S.points[(A, B)] else np.zeros((0, C.dim(A, B)), dtype=complex)
-        hat = np.zeros((C.dim(A, B), len(S.points[(A, B)])), dtype=complex)
-        for n, h in enumerate(S.hom_points(A, B)):
-            hat[:, n] = coords[(A, B, S.target(h), S.source(h))]
-        gd.hat[(A, B)] = hat
+        ps = range(S._offset[(A, B)], S._offset[(A, B)] + len(S.points[(A, B)]))
+        shape = (len(ps), C.dim(A, B))
+        gd.frames[(A, B)] = np.array([frame[p] for p in ps], dtype=complex).reshape(shape)
+        gd.hat[(A, B)] = np.array([coords[keys[p]] for p in ps], dtype=complex).reshape(shape).T
     return S, gd
 
 

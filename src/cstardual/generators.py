@@ -222,13 +222,9 @@ def _expand(S: FiniteSpaceoid, rng):
                 links.append(link)
     points = _points_from_links(tuple(S.objects), links)
     plain = FiniteSpaceoid(S.objects, base_sets, points)
-    image = {h: S.lookup(h[0], h[1], fbase[h[0]][plain.target(h)],
-                         fbase[h[1]][plain.source(h)])
-             for h in plain.all_points()}
-    nu = {h: S.nu_of(g) for h, g in image.items()}
-    cphase = {(h1, h2): S.c(image[h1], image[h2])
-              for h1, h2 in plain._composable_pairs()}
-    return FiniteSpaceoid(S.objects, base_sets, plain.points, nu, cphase), fbase
+    # pull the phases back along the covering map, point by point and pair by pair
+    img = SpaceoidMorphism(plain, S, {A: A for A in S.objects}, fbase)._images()
+    return plain._with_phases(S._nu[img], S._c[S._row(img[plain._p], img[plain._q])]), fbase
 
 
 def _component_character(S: FiniteSpaceoid, rng):

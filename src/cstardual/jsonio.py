@@ -175,10 +175,11 @@ def spaceoid_to_json(S: FiniteSpaceoid):
         "points": {},
         "phases": [],
     }
+    nu = S.nu
     for (A, B), pts in sorted(S.points.items()):
         doc["points"][_pair_key(A, B)] = [
             {"id": point_id(S, (A, B, i)), "t": t, "s": s,
-             "nu": complex_to_json(S.nu_of((A, B, i)))}
+             "nu": complex_to_json(nu[(A, B, i)])}
             for i, (t, s) in enumerate(pts)
         ]
     for (h1, h2), c in sorted(S.cphase.items()):
@@ -392,6 +393,8 @@ def load_document(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"line {exc.lineno} column {exc.colno}", exc.msg)
+    except RecursionError:
+        raise SchemaError("$", "document is nested too deeply")
     kind = detect_kind(doc)
     parser = {
         "category": category_from_json,

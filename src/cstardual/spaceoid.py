@@ -8,13 +8,23 @@ involution phase ``nu(p)`` with ``(u_p)* = nu(p) u_{p*}``.  Diagonal Hom-sets
 are implicit: they are always the full diagonal with canonical unit fibers,
 which removes a class of invalid states.
 
-A point of Hom(A,B) is addressed by the handle ``(A, B, i)`` with ``i`` the
-index into the canonical (sorted by target/source labels) point order.
+At the boundary a point of Hom(A,B) is the handle ``(A, B, i)``, ``i`` its
+index in the canonical order of Hom(A,B) (sorted by target/source labels).
+Inside, the constructor numbers the points once, in ``all_points()`` order,
+with per-point arrays: target and source object, target and source base
+label (coded per object by diagonal basis index; a label outside the base
+set gets a code past the end), ``nu`` and the inverse point (-1 if none).
+What composes is one pair table of rows ``(p, q, r)``, one per pair with
+``source(p) == target(q)``, ordered by ``p``, then the object order of q's
+source, then ``q``; ``r`` is the composite point, ``DIAGONAL`` or
+``NO_COMPOSITE``, and the phases ``c`` are a vector aligned with it.  A
+phase given on adjacent points that do not compose is rejected.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, replace
 from itertools import permutations, product
 
 import numpy as np
@@ -24,10 +34,14 @@ from .errors import EndpointMismatch, InvalidMorphism, InvalidSpaceoid
 from .numlin import DEFAULT_TOL, Tolerance
 
 _PHASE_TOL = 1e-9
+DIAGONAL = -1      # pair-table composite: a unit on the diagonal
+NO_COMPOSITE = -2  # pair-table composite: closure fails
 
 
-def _is_phase(z, tol=_PHASE_TOL) -> bool:
-    return abs(abs(z) - 1.0) <= tol
+def _runs(lo, counts):
+    """Owner and position of every element of the runs ``[lo, lo + counts)``."""
+    owner = np.repeat(np.arange(len(lo)), counts)
+    return owner, np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts - lo, counts)
 
 
 class FiniteSpaceoid:
@@ -39,49 +53,123 @@ class FiniteSpaceoid:
     base_sets : dict label -> iterable of base point labels (nonempty).
     points : dict (A, B) -> list of (target, source) label pairs, A != B.
         Lists are normalized to the canonical order sorted by (t, s); the
-        ``nu``/``cphase`` keys are re-indexed accordingly.
+        ``nu``/``cphase`` keys index the lists as given.
     nu : dict (A, B, i) -> complex involution phase, defaults to 1.
     cphase : dict ((A,B,i), (B,C,j)) -> complex composition phase for
-        composable off-diagonal pairs, defaults to 1.
+        composable off-diagonal pairs, defaults to 1; ``ValueError`` on a
+        pair that does not compose.
     """
 
     def __init__(self, objects, base_sets, points, nu=None, cphase=None):
         self.objects = tuple(objects)
         if len(set(self.objects)) != len(self.objects):
             raise ValueError("duplicate object labels")
-        self.base_sets = {}
+        self.base_sets, self._codes = {}, {}
         for A in self.objects:
             labels = tuple(str(x) for x in base_sets[A])
             if len(set(labels)) != len(labels):
                 raise ValueError(f"duplicate base labels at {A}")
             self.base_sets[A] = labels
-        self.points = {}
-        order_map = {}
+            self._codes[A] = {x: k for k, x in enumerate(sorted(labels))}
+        self.points, given = {}, {}
         for A, B in product(self.objects, repeat=2):
-            if A == B:
-                continue
-            raw = [(str(t), str(s)) for t, s in points.get((A, B), [])]
-            canon = sorted(raw)
-            order_map[(A, B)] = {old: canon.index(ts) for old, ts in enumerate(raw)}
-            self.points[(A, B)] = canon
-        self.nu = {}
-        for (A, B, i), value in (nu or {}).items():
-            self.nu[(A, B, order_map[(A, B)][i])] = complex(value)
-        self.cphase = {}
-        for (h1, h2), value in (cphase or {}).items():
-            A, B, i = h1
-            B2, C, j = h2
-            k1 = (A, B, order_map[(A, B)][i])
-            k2 = (B2, C, order_map[(B2, C)][j])
-            self.cphase[(k1, k2)] = complex(value)
-        self._index = {
-            key: {ts: i for i, ts in enumerate(lst)} for key, lst in self.points.items()
-        }
-        for A, B in self.points:
-            for i in range(len(self.points[(A, B)])):
-                self.nu.setdefault((A, B, i), 1.0 + 0.0j)
-        for h1, h2 in self._composable_pairs():
-            self.cphase.setdefault((h1, h2), 1.0 + 0.0j)
+            if A != B:
+                raw = [(str(t), str(s)) for t, s in points.get((A, B), [])]
+                order = sorted(range(len(raw)), key=raw.__getitem__)
+                self.points[(A, B)] = [raw[k] for k in order]
+                given[(A, B)] = np.argsort(np.array(order, dtype=int))
+
+        self._object_index = {A: a for a, A in enumerate(self.objects)}
+        self._handles, self._offset, cols, codes = [], {}, [], self._codes
+        for A, B in sorted(self.points):
+            self._offset[(A, B)] = len(self._handles)
+            for i, (t, s) in enumerate(self.points[(A, B)]):
+                self._handles.append((A, B, i))
+                cols.append((self._object_index[A], self._object_index[B], i,
+                             codes[A].setdefault(t, len(codes[A])),
+                             codes[B].setdefault(s, len(codes[B]))))
+        self._radix = max([1] + [len(c) for c in codes.values()])
+        n = len(self._handles)
+        cols = np.array(cols, dtype=np.int64).reshape(n, 5).T
+        self._tobj, self._sobj, self._local, self._tlab, self._slab = cols
+        key = self._point_key(self._tobj, self._sobj, self._tlab, self._slab)
+        by_key = np.argsort(key, kind="stable")
+        # a sentinel above every key keeps each search in range
+        self._keys = np.append(key[by_key], np.iinfo(np.int64).max)
+        self._key_points = np.append(by_key, -1)
+        self._star = self._find(self._sobj, self._tobj, self._slab, self._tlab)
+
+        # the pair table joins where p ends with where q starts
+        self._starts = self._tobj * self._radix + self._tlab
+        self._ends = self._sobj * self._radix + self._slab
+        by_start = np.lexsort((np.arange(n), self._sobj, self._starts))
+        sorted_starts = self._starts[by_start]
+        lo = np.searchsorted(sorted_starts, self._ends, "left")
+        counts = np.searchsorted(sorted_starts, self._ends, "right") - lo
+        self._p, pos = _runs(lo, counts)
+        self._q = by_start[pos]
+        self._first = np.cumsum(counts) - counts  # first row of each p
+        self._rank = np.empty(n, dtype=np.int64)  # place of q within its rows
+        self._rank[by_start] = np.arange(n) - np.searchsorted(sorted_starts, sorted_starts)
+        a, c = self._tobj[self._p], self._sobj[self._q]
+        r = self._find(a, c, self._tlab[self._p], self._slab[self._q])
+        self._r = np.where(a == c, DIAGONAL, np.where(r < 0, NO_COMPOSITE, r))
+
+        def number(handle):
+            A, B, i = handle
+            return self._offset[(A, B)] + int(given[(A, B)][i])
+
+        self._nu = np.ones(n, dtype=complex)
+        for handle, value in (nu or {}).items():
+            self._nu[number(handle)] = complex(value)
+        self._c = np.ones(len(self._p), dtype=complex)
+        keys = list(cphase or {})
+        ends = np.array([[number(h1), number(h2)] for h1, h2 in keys], dtype=np.int64)
+        rows = self._row(*ends.reshape(-1, 2).T)
+        for k in np.flatnonzero(rows < 0)[:1]:
+            raise ValueError(f"phase on {keys[k][0]},{keys[k][1]}, which do not compose")
+        self._c[rows] = [complex(v) for v in (cphase or {}).values()]
+
+    def _point_key(self, a, b, t, s):
+        return ((a * len(self.objects) + b) * self._radix + t) * self._radix + s
+
+    def _find(self, a, b, t, s):
+        """Point numbers from target/source objects and label codes, -1 where
+        there is no such point."""
+        key = self._point_key(a, b, t, s)
+        k = np.searchsorted(self._keys, key)
+        return np.where((self._keys[k] == key) & (np.asarray(t) >= 0) & (np.asarray(s) >= 0),
+                        self._key_points[k], -1)
+
+    def _row(self, p, q):
+        """Pair-table rows of the point pairs ``(p, q)``, -1 where p and q do
+        not compose."""
+        return np.where(self._ends[p] == self._starts[q], self._first[p] + self._rank[q], -1)
+
+    def _point(self, handle) -> int:
+        A, B, i = handle
+        if not 0 <= i < len(self.points[(A, B)]):
+            raise KeyError(handle)
+        return self._offset[(A, B)] + i
+
+    def _with_phases(self, nu, c):
+        """The same points with new phases: ``nu`` per point, ``c`` per row."""
+        out = copy.copy(self)
+        out._nu, out._c = np.asarray(nu, dtype=complex), np.asarray(c, dtype=complex)
+        return out
+
+    def _inverses(self):
+        """The inverse point of every point; raises when one has none."""
+        for p in np.flatnonzero(self._star < 0)[:1]:
+            self.star(self._handles[p])
+        return self._star
+
+    def _composites(self):
+        """The composite column of the pair table; raises when closure fails."""
+        for row in np.flatnonzero(self._r == NO_COMPOSITE)[:1]:
+            h1, h2 = self._handles[self._p[row]], self._handles[self._q[row]]
+            raise InvalidSpaceoid(f"closure fails: {h1} . {h2} has no composite point")
+        return self._r
 
     # -- geometry -------------------------------------------------------------
 
@@ -90,7 +178,7 @@ class FiniteSpaceoid:
         return [(A, B, i) for i in range(len(self.points[(A, B)]))]
 
     def all_points(self):
-        return [h for (A, B) in sorted(self.points) for h in self.hom_points(A, B)]
+        return list(self._handles)
 
     def target(self, handle) -> str:
         A, B, i = handle
@@ -102,54 +190,34 @@ class FiniteSpaceoid:
 
     def lookup(self, A, B, t, s):
         """Handle of the point of Hom(A,B) with the given target/source."""
-        i = self._index[(A, B)].get((t, s))
-        return None if i is None else (A, B, i)
+        p = int(self._find(self._object_index[A], self._object_index[B],
+                           self._codes[A].get(t, -1), self._codes[B].get(s, -1)))
+        return None if p < 0 else self._handles[p]
 
     def star(self, handle):
-        A, B, i = handle
-        t, s = self.points[(A, B)][i]
-        inv = self.lookup(B, A, s, t)
-        if inv is None:
+        q = self._star[self._point(handle)]
+        if q < 0:
+            A, B, _ = handle
             raise InvalidSpaceoid(f"point {handle} has no inverse in Hom({B},{A})")
-        return inv
-
-    def compose(self, h1, h2):
-        """Composite handle of h1 . h2, None when it lands on a diagonal or
-        the pair is not composable; raises InvalidSpaceoid when closure fails.
-        """
-        A, B, _ = h1
-        B2, C, _ = h2
-        if B != B2:
-            raise EndpointMismatch(f"{h1} and {h2} are not adjacent")
-        if self.source(h1) != self.target(h2):
-            return None
-        if A == C:
-            return None  # composite is the implicit identity at target(h1)
-        out = self.lookup(A, C, self.target(h1), self.source(h2))
-        if out is None:
-            raise InvalidSpaceoid(f"closure fails: {h1} . {h2} has no composite point")
-        return out
-
-    def composable(self, h1, h2) -> bool:
-        return h1[1] == h2[0] and self.source(h1) == self.target(h2)
+        return self._handles[q]
 
     def c(self, h1, h2) -> complex:
-        return self.cphase[(h1, h2)]
+        row = self._row(self._point(h1), self._point(h2))
+        if row < 0:
+            raise KeyError((h1, h2))
+        return complex(self._c[row])
 
-    def nu_of(self, handle) -> complex:
-        return self.nu[handle]
+    @property
+    def nu(self):
+        """Involution phases by handle."""
+        return dict(zip(self._handles, self._nu.tolist()))
 
-    def _composable_pairs(self):
-        pairs = []
-        for A, B in sorted(self.points):
-            for h1 in self.hom_points(A, B):
-                for C in self.objects:
-                    if C == B:
-                        continue
-                    for h2 in self.hom_points(B, C):
-                        if self.source(h1) == self.target(h2):
-                            pairs.append((h1, h2))
-        return pairs
+    @property
+    def cphase(self):
+        """Composition phases by handle pair, in pair-table order."""
+        h = self._handles
+        return {(h[p], h[q]): v for p, q, v in
+                zip(self._p.tolist(), self._q.tolist(), self._c.tolist())}
 
     # -- components -----------------------------------------------------------
 
@@ -164,43 +232,27 @@ class FiniteSpaceoid:
                 x = parent[x]
             return x
 
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-
         for A in self.objects:
             for x in self.base_sets[A]:
                 parent[(A, x)] = (A, x)
         for A, B in self.points:
             for t, s in self.points[(A, B)]:
-                union((A, t), (B, s))
+                rx, ry = find((A, t)), find((B, s))
+                parent[max(rx, ry)] = min(rx, ry)
         groups = {}
         for node in parent:
             groups.setdefault(find(node), []).append(node)
-        comps = []
+        comps = {}
         for root in sorted(groups):
             nodes = groups[root]
             objs = sorted({A for A, _ in nodes})
             if len(nodes) != len(objs):
                 raise InvalidSpaceoid(
                     f"component at {root} holds two base points of one object")
-            diag = {A: x for A, x in nodes}
-            pts = {}
-            for A, B in permutations(objs, 2):
-                h = self.lookup(A, B, diag[A], diag[B])
-                if h is not None:
-                    pts[(A, B)] = h
-            comps.append(Component(tuple(objs), diag, pts))
-        return comps
-
-    def component_signature(self):
-        """Multiset of linked object tuples, for isomorphism pruning."""
-        sig = {}
-        for comp in self.components():
-            if len(comp.objects) > 1:
-                sig[comp.objects] = sig.get(comp.objects, 0) + 1
-        return sig
+            comps[root] = Component(tuple(objs), dict(nodes), {})
+        for h in self._handles:
+            comps[find((h[0], self.target(h)))].points[h[:2]] = h
+        return list(comps.values())
 
 
 @dataclass
@@ -218,6 +270,7 @@ def validate_spaceoid(S: FiniteSpaceoid, tol: Tolerance = DEFAULT_TOL) -> Valida
     """Exhaustive check of the spaceoid invariants; failures carry witnesses."""
     report = ValidationReport()
     ptol = max(_PHASE_TOL, tol.abs_eps)
+    h, P, Q, R = S._handles, S._p, S._q, S._r
 
     for A in S.objects:
         report.record("base_nonempty", len(S.base_sets[A]) > 0, f"({A})")
@@ -232,33 +285,19 @@ def validate_spaceoid(S: FiniteSpaceoid, tol: Tolerance = DEFAULT_TOL) -> Valida
     if not report.ok:
         return report
 
-    for (A, B), pts in S.points.items():
-        for i, (t, s) in enumerate(pts):
-            inv = S.lookup(B, A, s, t)
-            report.record("inverse_present", inv is not None, f"({A},{B}) point {i}")
+    # witnesses follow the Hom-set order of ``S.points``, which is object order
+    in_order = [S._point(g) for key in S.points for g in S.hom_points(*key)]
+    inverse = S._star[in_order] >= 0
+    report.record("inverse_present", inverse,
+                  lambda k: "({},{}) point {}".format(*h[in_order[k]]))
+    closed = np.where(R == DIAGONAL, S._slab[Q] == S._tlab[P], R >= 0)
+    report.record("closure", closed, lambda k: f"{h[P[k]]}.{h[Q[k]]}")
+    dev = np.abs(np.abs(S._nu) - 1.0)
+    report.record("nu_unimodular", dev <= ptol, lambda k: str(h[k]), dev)
+    dev = np.abs(np.abs(S._c) - 1.0)
+    report.record("c_unimodular", dev <= ptol, lambda k: f"{h[P[k]]},{h[Q[k]]}", dev)
 
-    closure_ok = True
-    for h1, h2 in S._composable_pairs():
-        if h1[0] == h2[1]:
-            ok = S.source(h2) == S.target(h1)
-        else:
-            try:
-                S.compose(h1, h2)
-                ok = True
-            except InvalidSpaceoid:
-                ok = False
-        closure_ok = closure_ok and ok
-        report.record("closure", ok, f"{h1}.{h2}")
-
-    for h in S.all_points():
-        report.record("nu_unimodular", _is_phase(S.nu_of(h), ptol), str(h),
-                      abs(abs(S.nu_of(h)) - 1.0))
-    for (h1, h2), cval in S.cphase.items():
-        report.record("c_unimodular", _is_phase(cval, ptol), f"{h1},{h2}",
-                      abs(abs(cval) - 1.0))
-
-    if closure_ok and all(S.lookup(B, A, s, t) is not None
-                          for (A, B), pts in S.points.items() for t, s in pts):
+    if closed.all() and inverse.all():
         _check_cocycle(S, report, ptol)
         try:
             S.components()
@@ -275,42 +314,31 @@ def validate_spaceoid(S: FiniteSpaceoid, tol: Tolerance = DEFAULT_TOL) -> Valida
 
 
 def _check_cocycle(S, report, ptol):
-    for h in S.all_points():
-        dev = abs(S.nu_of(S.star(h)) - S.nu_of(h))
-        report.record("nu_symmetric", dev <= 10 * ptol, str(h), dev)
+    h, nu, c, star = S._handles, S._nu, S._c, S._star
+    P, Q, R = S._p, S._q, S._r
+    dev = np.abs(nu[star] - nu)
+    report.record("nu_symmetric", dev <= 10 * ptol, lambda k: str(h[k]), dev)
 
-    pairs = S._composable_pairs()
-    for h1, h2 in pairs:
-        h12 = S.compose(h1, h2)
-        if h12 is None:
-            # lands on the diagonal unit; positivity pins c(p, p*)
-            if h2 == S.star(h1):
-                dev = abs(S.c(h1, h2) - np.conj(S.nu_of(h1)))
-                report.record("c_matches_nu_on_units", dev <= 10 * ptol,
-                              f"{h1},{h2}", dev)
-            continue
-        lhs = np.conj(S.c(h1, h2)) * S.nu_of(h12)
-        rhs = S.nu_of(h1) * S.nu_of(h2) * S.c(S.star(h2), S.star(h1))
-        dev = abs(lhs - rhs)
-        report.record("involution_antimultiplicative", dev <= 10 * ptol,
-                      f"{h1},{h2}", dev)
+    # a pair (p, p*) landing on the diagonal unit: positivity pins c(p, p*);
+    # a pair with a composite: the involution reverses the product
+    unit = R == DIAGONAL
+    lhs = np.conj(c) * nu[np.maximum(R, 0)]
+    rhs = nu[P] * nu[Q] * c[S._row(star[Q], star[P])]
+    dev = np.where(unit, np.abs(c - np.conj(nu[P])), np.abs(lhs - rhs))
+    rows = np.flatnonzero(~unit | (Q == star[P]))
+    report.record(np.where(unit, "c_matches_nu_on_units", "involution_antimultiplicative")[rows],
+                  dev[rows] <= 10 * ptol, lambda k: f"{h[P[rows[k]]]},{h[Q[rows[k]]]}",
+                  dev[rows])
 
-    for h1, h2 in pairs:
-        B, C = h2[0], h2[1]
-        h12 = S.compose(h1, h2)
-        for D in S.objects:
-            if D == C:
-                continue
-            for h3 in S.hom_points(C, D):
-                if S.source(h2) != S.target(h3):
-                    continue
-                h23 = S.compose(h2, h3)
-                # c(h1,h2) c(h1.h2, h3) = c(h2,h3) c(h1, h2.h3) with
-                # c(identity, .) = c(., identity) = 1 on diagonal composites
-                lhs = S.c(h1, h2) * (S.c(h12, h3) if h12 is not None else 1.0)
-                rhs = S.c(h2, h3) * (S.c(h1, h23) if h23 is not None else 1.0)
-                dev = abs(lhs - rhs)
-                report.record("cocycle", dev <= 10 * ptol, f"{h1},{h2},{h3}", dev)
+    # triples: each row (h1, h2) joined with the rows (h2, h3), and
+    # c(h1,h2) c(h1.h2, h3) = c(h2,h3) c(h1, h2.h3) with c = 1 on a unit
+    r1, r2 = _runs(S._first[Q], np.bincount(P, minlength=len(h))[Q])
+    h12, h23 = R[r1], R[r2]
+    lhs = c[r1] * np.where(h12 >= 0, c[S._row(h12, Q[r2])], 1.0)
+    rhs = c[r2] * np.where(h23 >= 0, c[S._row(P[r1], h23)], 1.0)
+    dev = np.abs(lhs - rhs)
+    report.record("cocycle", dev <= 10 * ptol,
+                  lambda k: f"{h[P[r1[k]]]},{h[Q[r1[k]]]},{h[Q[r2[k]]]}", dev)
 
 
 # ---------------------------------------------------------------------------
@@ -324,16 +352,14 @@ def apply_gauge(S: FiniteSpaceoid, lam: dict) -> FiniteSpaceoid:
     c' = c lam_p lam_q / lam_{p.q} and nu' = nu conj(lam_p) / lam_{p*};
     composites landing on the canonically framed diagonal divide by 1.
     """
-    get = lambda h: complex(lam.get(h, 1.0))
-    nu = {}
-    for h in S.all_points():
-        nu[h] = S.nu_of(h) * np.conj(get(h)) / get(S.star(h))
-    cphase = {}
-    for (h1, h2), cval in S.cphase.items():
-        h12 = S.compose(h1, h2)
-        denom = get(h12) if h12 is not None else 1.0
-        cphase[(h1, h2)] = cval * get(h1) * get(h2) / denom
-    return FiniteSpaceoid(S.objects, S.base_sets, S.points, nu, cphase)
+    return _gauge(S, np.array([lam.get(g, 1.0) for g in S._handles], dtype=complex))
+
+
+def _gauge(S, lam):
+    """``apply_gauge`` with the phases as one vector in point order."""
+    star, R = S._inverses(), S._composites()
+    return S._with_phases(S._nu * np.conj(lam) / lam[star],
+                          S._c * lam[S._p] * lam[S._q] / np.where(R >= 0, lam[R], 1.0))
 
 
 def gauge_fix(S: FiniteSpaceoid):
@@ -345,28 +371,20 @@ def gauge_fix(S: FiniteSpaceoid):
     Returns ``(S_fixed, lam)`` with ``lam`` the applied per-point phase
     change.  Idempotent.
     """
-    lam = {}
+    lam = np.ones(len(S._handles), dtype=complex)
     for comp in S.components():
-        if len(comp.objects) < 2:
-            continue
         root = comp.objects[0]
-        others = [o for o in comp.objects if o != root]
-        for o in others:
-            h_ro = comp.points[(root, o)]
-            h_or = comp.points[(o, root)]
-            lam[h_ro] = 1.0 + 0.0j
-            lam[h_or] = S.nu_of(h_ro)
-        for o1, o2 in permutations(others, 2):
-            h = comp.points[(o1, o2)]
-            h_1r = comp.points[(o1, root)]
-            h_r2 = comp.points[(root, o2)]
-            lam[h] = lam[h_1r] * lam[h_r2] * S.c(h_1r, h_r2)
-    return apply_gauge(S, lam), lam
+        for (A, B), h in comp.points.items():
+            if A != root:  # the frame of A -> B: nu(root -> A) c(A -> root, root -> B)
+                x = S._point(comp.points[(A, root)])
+                lam[S._point(h)] = S._nu[S._star[x]] * \
+                    (S._c[S._row(x, S._point(comp.points[(root, B)]))] if B != root else 1.0)
+    return _gauge(S, lam), dict(zip(S._handles, lam.tolist()))
 
 
 def is_gauge_trivial(S: FiniteSpaceoid, tol=_PHASE_TOL) -> bool:
-    return all(abs(v - 1.0) <= 100 * tol for v in S.nu.values()) and \
-        all(abs(v - 1.0) <= 100 * tol for v in S.cphase.values())
+    return bool(np.all(np.abs(S._nu - 1.0) <= 100 * tol)
+                and np.all(np.abs(S._c - 1.0) <= 100 * tol))
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +421,20 @@ class SpaceoidMorphism:
     def scalar(self, handle) -> complex:
         return complex(self.scalars.get(handle, 1.0))
 
+    def _images(self):
+        """Target point number of every source point, -1 where the base maps
+        send it to no point."""
+        src, tgt = self.source, self.target
+        obj = np.array([tgt._object_index[self.obj_map[A]] for A in src.objects],
+                       dtype=np.int64)
+        codes = np.full((len(src.objects), src._radix), -1, dtype=np.int64)
+        for a, A in enumerate(src.objects):
+            to_code, bm = tgt._codes[self.obj_map[A]], self.base_maps.get(A, {})
+            for x, k in src._codes[A].items():
+                codes[a, k] = to_code.get(bm.get(x), -1)
+        return tgt._find(obj[src._tobj], obj[src._sobj],
+                         codes[src._tobj, src._tlab], codes[src._sobj, src._slab])
+
 
 def identity_morphism(S: FiniteSpaceoid) -> SpaceoidMorphism:
     return SpaceoidMorphism(
@@ -430,44 +462,34 @@ def validate_morphism(m: SpaceoidMorphism, tol: Tolerance = DEFAULT_TOL) -> Vali
     if not report.ok:
         return report
 
-    images = {}
-    for h in src.all_points():
-        try:
-            images[h] = m.point_map(h)
-            report.record("point_map_defined", True, str(h))
-        except InvalidMorphism as exc:
-            report.record("point_map_defined", False, str(exc))
+    h, images = src._handles, m._images()
+    report.record("point_map_defined", images >= 0, lambda k: "point {} has no image in "
+                  "Hom({},{})".format(h[k], *(m.obj_map[o] for o in h[k][:2])))
     if not report.ok:
         return report
 
-    for h in src.all_points():
-        dev = abs(abs(m.scalar(h)) - 1.0)
-        report.record("scalar_unimodular", dev <= 10 * ptol, str(h), dev)
-        lhs = tgt.nu_of(images[h]) * m.scalar(src.star(h))
-        rhs = np.conj(m.scalar(h)) * src.nu_of(h)
-        dev = abs(lhs - rhs)
-        report.record("scalar_involution", dev <= 10 * ptol, str(h), dev)
+    scalars = np.array([m.scalar(g) for g in h], dtype=complex)
+    star, R = src._inverses(), src._composites()
+    P, Q = src._p, src._q
+    # per point, the unimodular and the involution check in turn
+    dev = np.stack([np.abs(np.abs(scalars) - 1.0),
+                    np.abs(tgt._nu[images] * scalars[star] - np.conj(scalars) * src._nu)],
+                   axis=1).ravel()
+    report.record(np.tile(["scalar_unimodular", "scalar_involution"], len(h)),
+                  dev <= 10 * ptol, lambda k: str(h[k // 2]), dev)
 
-    for h1, h2 in src._composable_pairs():
-        h12 = src.compose(h1, h2)
-        g1, g2 = images[h1], images[h2]
-        lhs = (m.scalar(h12) if h12 is not None else 1.0) * tgt.c(g1, g2)
-        rhs = m.scalar(h1) * m.scalar(h2) * src.c(h1, h2)
-        dev = abs(lhs - rhs)
-        report.record("scalar_multiplicative", dev <= 10 * ptol, f"{h1},{h2}", dev)
+    lhs = np.where(R >= 0, scalars[R], 1.0) * tgt._c[tgt._row(images[P], images[Q])]
+    rhs = scalars[P] * scalars[Q] * src._c
+    dev = np.abs(lhs - rhs)
+    report.record("scalar_multiplicative", dev <= 10 * ptol,
+                  lambda k: f"{h[P[k]]},{h[Q[k]]}", dev)
 
     # Components must map onto components covering exactly the corresponding
     # objects; otherwise the pull-back of sections fails to be multiplicative
     # (a composite would pull back past a point with no factorization).  This
     # is the spectrum-side shadow of the non-degeneracy condition on functors.
-    comp_of_src = {}
-    for comp in src.components():
-        for A, x in comp.diag.items():
-            comp_of_src[(A, x)] = comp.objects
-    comp_of_tgt = {}
-    for comp in tgt.components():
-        for A, x in comp.diag.items():
-            comp_of_tgt[(A, x)] = comp.objects
+    comp_of_src, comp_of_tgt = ({node: comp.objects for comp in S.components()
+                                 for node in comp.diag.items()} for S in (src, tgt))
     for A in src.objects:
         for x in src.base_sets[A]:
             image_objs = tuple(sorted(m.obj_map[o] for o in comp_of_src[(A, x)]))
@@ -490,14 +512,10 @@ def compose_morphisms(fst: SpaceoidMorphism, snd: SpaceoidMorphism) -> SpaceoidM
     if fst.target is not snd.source:
         raise EndpointMismatch("morphisms do not share the middle spaceoid")
     obj = {A: snd.obj_map[fst.obj_map[A]] for A in fst.source.objects}
-    base = {}
-    for A in fst.source.objects:
-        mid = fst.obj_map[A]
-        base[A] = {x: snd.base_maps[mid][fst.base_maps[A][x]]
-                   for x in fst.source.base_sets[A]}
-    scalars = {}
-    for h in fst.source.all_points():
-        scalars[h] = fst.scalar(h) * snd.scalar(fst.point_map(h))
+    base = {A: {x: snd.base_maps[fst.obj_map[A]][fst.base_maps[A][x]]
+                for x in fst.source.base_sets[A]} for A in fst.source.objects}
+    scalars = {h: fst.scalar(h) * snd.scalar(fst.point_map(h))
+               for h in fst.source.all_points()}
     return SpaceoidMorphism(fst.source, snd.target, obj, base, scalars)
 
 
@@ -591,14 +609,9 @@ def spaceoids_isomorphic(S1: FiniteSpaceoid, S2: FiniteSpaceoid,
         relabel = SpaceoidMorphism(F1, F2, obj_map, base, {})
         if not validate_morphism(relabel, tol).ok:
             continue
-        to_fixed = SpaceoidMorphism(
-            S1, F1, {A: A for A in S1.objects},
-            {A: {x: x for x in S1.base_sets[A]} for A in S1.objects},
-            dict(lam1))
-        from_fixed = SpaceoidMorphism(
-            F2, S2, {A: A for A in S2.objects},
-            {A: {x: x for x in S2.base_sets[A]} for A in S2.objects},
-            {h: 1.0 / complex(lam2.get(h, 1.0)) for h in F2.all_points()})
+        to_fixed = replace(identity_morphism(S1), target=F1, scalars=dict(lam1))
+        from_fixed = replace(identity_morphism(F2), target=S2,
+                             scalars={h: 1.0 / v for h, v in lam2.items()})
         m = compose_morphisms(compose_morphisms(to_fixed, relabel), from_fixed)
         if validate_morphism(m, tol).ok:
             return m

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,3 +275,42 @@ class TestCli:
         text = open(spaceoid_path).read().strip()
         _, S = jsonio.load_document(text)
         assert jsonio.dump_json(jsonio.spaceoid_to_json(S)) == text
+
+    @pytest.mark.parametrize("command", ["validate", "sections"])
+    def test_noncomposable_phase_rejected(self, tmp_path, capsys, command):
+        # p1 = (a1, b1) and q2 = (b2, a2) are adjacent but do not compose
+        doc = {"objects": ["A", "B"],
+               "base_sets": {"A": ["a1", "a2"], "B": ["b1", "b2"]},
+               "points": {"A|B": [{"id": "p1", "t": "a1", "s": "b1"},
+                                  {"id": "p2", "t": "a2", "s": "b2"}],
+                          "B|A": [{"id": "q1", "t": "b1", "s": "a1"},
+                                  {"id": "q2", "t": "b2", "s": "a2"}]},
+               "phases": [{"p": "p1", "q": "q2", "c": [0, 1]}]}
+        path = tmp_path / "two_links.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "--input", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: spaceoid:")
+
+    def test_deeply_nested_document_rejected(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert main(["validate", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_closed_stdout_exits_quietly(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        fixture = src.parent / "fixtures" / "footnote_full.json"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # nobody reads: the first write raises EPIPE
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "cstardual.cli", "--format", "json", "spectrum",
+                 "--input", str(fixture)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == b""

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,22 @@ from cstardual.spaceoid import (
     validate_morphism,
     validate_spaceoid,
 )
+
+
+CHAIN3_CHECKS = {
+    "base_nonempty": 3, "target_injective": 6, "source_injective": 6,
+    "labels_in_base": 6, "inverse_present": 6, "closure": 12, "nu_unimodular": 6,
+    "c_unimodular": 12, "nu_symmetric": 6, "c_matches_nu_on_units": 6,
+    "involution_antimultiplicative": 6, "cocycle": 24, "holonomy_trivial": 1,
+    "sections_vanish_at_infinity": 1, "converging_at_infinity": 1}
+AB, BA, BC, CB, AC, CA = (("A", "B", 0), ("B", "A", 0), ("B", "C", 0),
+                          ("C", "B", 0), ("A", "C", 0), ("C", "A", 0))
+NU_FAILURES = [
+    ("nu_symmetric", str(AB)), ("nu_symmetric", str(BA)),
+    ("c_matches_nu_on_units", f"{AB},{BA}"),
+    ("involution_antimultiplicative", f"{AB},{BC}"),
+    ("involution_antimultiplicative", f"{AC},{CB}"),
+    ("involution_antimultiplicative", f"{CA},{AB}")]
 
 
 class TestValidateSpaceoid:
@@ -77,6 +95,35 @@ class TestValidateSpaceoid:
                         composed = {(t1, s2) for t1, s1 in rel_ab
                                     for t2, s2 in rel_bc if s1 == t2}
                         assert composed <= rel_ac
+
+    @pytest.mark.parametrize("nu, cphase, drop, failures, counts", [
+        ({AB: np.exp(0.9j)}, None, False, NU_FAILURES, CHAIN3_CHECKS),
+        (None, {(AB, BC): np.exp(1.1j)}, False, [
+            ("involution_antimultiplicative", f"{AB},{BC}"),
+            ("involution_antimultiplicative", f"{CB},{BA}"),
+            ("cocycle", f"{AB},{BA},{AC}"), ("cocycle", f"{AB},{BC},{CA}"),
+            ("cocycle", f"{AB},{BC},{CB}"), ("cocycle", f"{AC},{CB},{BC}"),
+            ("cocycle", f"{BA},{AB},{BC}"), ("cocycle", f"{CA},{AB},{BC}")],
+         CHAIN3_CHECKS),
+        ({AB: 1.5}, None, False, [("nu_unimodular", str(AB))] + NU_FAILURES,
+         CHAIN3_CHECKS),
+        (None, None, True, [("closure", f"{AB}.{BC}"), ("closure", f"{CB}.{BA}")],
+         {"base_nonempty": 3, "target_injective": 6, "source_injective": 6,
+          "labels_in_base": 6, "inverse_present": 4, "closure": 6, "nu_unimodular": 4,
+          "c_unimodular": 6, "sections_vanish_at_infinity": 1,
+          "converging_at_infinity": 1}),
+    ], ids=["nu-rotated", "c-rotated", "nu-scaled", "AC-removed"])
+    def test_failure_witnesses_pinned(self, chain3_spaceoid, nu, cphase, drop,
+                                      failures, counts):
+        S = chain3_spaceoid
+        points = dict(S.points)
+        if drop:
+            points[("A", "C")] = []
+            points[("C", "A")] = []
+        bad = FiniteSpaceoid(S.objects, S.base_sets, points, nu, cphase)
+        report = validate_spaceoid(bad)
+        assert [(f.check, f.witness) for f in report.failures] == failures
+        assert Counter(report.checks_run) == counts
 
 
 class TestComposeMorphisms:
@@ -244,3 +291,27 @@ class TestMorphismValidation:
             m1, m2 = gen_morphism_pair(params)
             assert validate_morphism(m1).ok
             assert validate_morphism(m2).ok
+
+    @pytest.mark.parametrize("scalars, failures", [
+        ({("A", "B", 0): 2.0, ("B", "A", 0): 0.5}, [
+            ("scalar_unimodular", str(("A", "B", 0))),
+            ("scalar_involution", str(("A", "B", 0))),
+            ("scalar_unimodular", str(("B", "A", 0))),
+            ("scalar_involution", str(("B", "A", 0)))]),
+        ({("A", "B", 0): 1j, ("B", "A", 0): 1j}, [
+            ("scalar_involution", str(("A", "B", 0))),
+            ("scalar_involution", str(("B", "A", 0))),
+            ("scalar_multiplicative", f"{('A', 'B', 0)},{('B', 'A', 0)}"),
+            ("scalar_multiplicative", f"{('B', 'A', 0)},{('A', 'B', 0)}")]),
+    ], ids=["nonunimodular", "nonmultiplicative"])
+    def test_failure_witnesses_pinned(self, e1_spaceoid, scalars, failures):
+        S = e1_spaceoid
+        m = SpaceoidMorphism(S, S, {"A": "A", "B": "B"},
+                             {A: {x: x for x in S.base_sets[A]} for A in "AB"}, scalars)
+        report = validate_morphism(m)
+        assert [(f.check, f.witness) for f in report.failures] == failures
+        assert Counter(report.checks_run) == {
+            "object_bijective": 1, "base_map_total": 2, "point_map_defined": 2,
+            "scalar_unimodular": 2, "scalar_involution": 2, "scalar_multiplicative": 2,
+            "component_preserving": 5, "converging_at_infinity": 1,
+            "vanishing_at_infinity": 1}
