@@ -133,13 +133,13 @@ def cmd_roundtrip(args):
     lines = []
     ok = True
     if cat is not None:
-        F, report = duality.check_gelfand_isomorphism(cat, tol)
+        spec = spectral_spaceoid(cat, tol)
+        F, report = duality.check_gelfand_isomorphism(cat, tol, spec)
         payload["gelfand"] = {"pass": report.ok, "failures": report.to_json()["failures"]}
         lines.append(f"algebra-side transform: {'pass' if report.ok else 'FAIL'}")
         ok = ok and report.ok
         if oracle is not None:
-            S2, _ = spectral_spaceoid(cat, tol)
-            iso = spaceoids_isomorphic(S2, oracle, tol)
+            iso = spaceoids_isomorphic(spec[0], oracle, tol)
             payload["oracle_recovered"] = iso is not None
             lines.append(f"oracle recovery: {'pass' if iso is not None else 'FAIL'}")
             ok = ok and iso is not None
@@ -153,9 +153,7 @@ def cmd_roundtrip(args):
             ident, _ = morphisms_equal(
                 compose_morphisms(ev, inv), identity_morphism(S))
             inv_ok = inv_ok and ident
-        sec = sections_category(S, tol, check=False)
-        S2, _ = spectral_spaceoid(sec, tol)
-        iso = spaceoids_isomorphic(S, S2, tol)
+        iso = spaceoids_isomorphic(S, ev.target, tol)  # ev.target: the spectrum of S's sections
         payload["evaluation"] = {"valid": rep.ok, "invertible": inv_ok,
                                  "isomorphic": iso is not None}
         lines.append(

@@ -137,8 +137,8 @@ def evaluation_transform(S: FiniteSpaceoid, tol: Tolerance = DEFAULT_TOL,
     report = validate_spaceoid(S, tol)
     if not report.ok:
         raise InvalidSpaceoid(f"cannot evaluate: {report}")
-    sec = sections_category(S, tol, check=False)
-    S2, G = spectrum if spectrum is not None else spectral_spaceoid(sec, tol)
+    S2, G = spectrum if spectrum is not None else \
+        spectral_spaceoid(sections_category(S, tol, check=False), tol)
 
     base_maps = {}
     for A in S.objects:
@@ -158,15 +158,10 @@ def evaluation_transform(S: FiniteSpaceoid, tol: Tolerance = DEFAULT_TOL,
         base_maps[A] = bm
 
     m = SpaceoidMorphism(S, S2, {A: A for A in S.objects}, base_maps, {})
-    scalars = {}
-    for h in S.all_points():
-        A, B, i = h
-        image = m.point_map(h)
-        frame = G.frames[(A, B)][image[2]]
-        # the transform carries the frame section to its value at h: the
-        # delta_h coordinate of the frame, expressed in S's unit frame
-        scalars[h] = complex(frame[i])
-    m.scalars = scalars
+    # the transform carries the frame section to its value at h: the
+    # delta_h coordinate of the frame, expressed in S's unit frame
+    m.scalars = {h: complex(G.frames[h[:2]][g[2]][h[2]])
+                 for h, g in zip(S.all_points(), m._image_handles())}
     return m
 
 

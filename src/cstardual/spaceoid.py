@@ -24,8 +24,9 @@ phase given on adjacent points that do not compose is rejected.
 from __future__ import annotations
 
 import copy
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import permutations, product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -418,6 +419,13 @@ class SpaceoidMorphism:
             raise InvalidMorphism(f"point {handle} has no image in Hom({A2},{B2})")
         return out
 
+    def _image_handles(self):
+        """``point_map`` of every source point, in point order."""
+        images = self._images()
+        for k in np.flatnonzero(images < 0)[:1]:
+            self.point_map(self.source._handles[k])  # raises: no image
+        return [self.target._handles[i] for i in images]
+
     def scalar(self, handle) -> complex:
         return complex(self.scalars.get(handle, 1.0))
 
@@ -514,8 +522,8 @@ def compose_morphisms(fst: SpaceoidMorphism, snd: SpaceoidMorphism) -> SpaceoidM
     obj = {A: snd.obj_map[fst.obj_map[A]] for A in fst.source.objects}
     base = {A: {x: snd.base_maps[fst.obj_map[A]][fst.base_maps[A][x]]
                 for x in fst.source.base_sets[A]} for A in fst.source.objects}
-    scalars = {h: fst.scalar(h) * snd.scalar(fst.point_map(h))
-               for h in fst.source.all_points()}
+    scalars = {h: fst.scalar(h) * snd.scalar(g)
+               for h, g in zip(fst.source.all_points(), fst._image_handles())}
     return SpaceoidMorphism(fst.source, snd.target, obj, base, scalars)
 
 
@@ -525,11 +533,8 @@ def morphisms_equal(m1: SpaceoidMorphism, m2: SpaceoidMorphism, tol=1e-6):
         return False, float("inf")
     if m1.obj_map != m2.obj_map or m1.base_maps != m2.base_maps:
         return False, float("inf")
-    dev = 0.0
-    for h in m1.source.all_points():
-        if m1.point_map(h) != m2.point_map(h):
-            return False, float("inf")
-        dev = max(dev, abs(m1.scalar(h) - m2.scalar(h)))
+    m1._image_handles()  # raises where a point has no image; equal maps agree elsewhere
+    dev = max([0.0] + [abs(m1.scalar(h) - m2.scalar(h)) for h in m1.source.all_points()])
     return dev <= tol, dev
 
 
@@ -546,9 +551,8 @@ def invert_morphism(m: SpaceoidMorphism) -> SpaceoidMorphism:
                 set(fwd.values()) != set(m.target.base_sets[A2]):
             raise InvalidMorphism(f"base map at {A} is not a bijection")
         base[A2] = {v: k for k, v in fwd.items()}
-    scalars = {}
-    for h in m.source.all_points():
-        scalars[m.point_map(h)] = 1.0 / m.scalar(h)
+    scalars = {g: 1.0 / m.scalar(h)
+               for h, g in zip(m.source.all_points(), m._image_handles())}
     return SpaceoidMorphism(m.target, m.source, obj, base, scalars)
 
 
@@ -563,55 +567,54 @@ def spaceoids_isomorphic(S1: FiniteSpaceoid, S2: FiniteSpaceoid,
     Both sides are gauge-fixed first, so only combinatorics branch: object
     bijections compatible with the base-set sizes and the multiset of linked
     components; point matching inside a component is then forced by sources
-    and targets.  Exhaustive over object bijections, capped at 8 objects.
+    and targets.  Backtracking meets bijections in lexicographic order,
+    pruning a candidate object unless its base-set size, component sizes and
+    components shared with each earlier object agree (all are necessary).
     """
     if len(S1.objects) != len(S2.objects):
         return None
-    if len(S1.objects) > 8:
-        raise ValueError("isomorphism search capped at 8 objects")
     F1, lam1 = gauge_fix(S1)
     F2, lam2 = gauge_fix(S2)
     comps1 = [c for c in F1.components() if len(c.objects) > 1]
-    comps2 = [c for c in F2.components() if len(c.objects) > 1]
+    comps2 = sorted((c for c in F2.components() if len(c.objects) > 1), key=lambda c: c.objects)
+    prof1, prof2 = ({A: (len(S.base_sets[A]), sorted(len(c.objects) for c in cs if A in c.objects))
+                     for A in S.objects} for S, cs in ((S1, comps1), (S2, comps2)))
+    if sorted(prof1.values()) != sorted(prof2.values()):
+        return None
+    share1, share2 = (Counter(frozenset(pair) for c in comps for pair in combinations(c.objects, 2))
+                      for comps in (comps1, comps2))
+    to_fixed = replace(identity_morphism(S1), target=F1, scalars=dict(lam1))
+    from_fixed = replace(identity_morphism(F2), target=S2,
+                         scalars={h: 1.0 / v for h, v in lam2.items()})
+    src, tgt = sorted(S1.objects), sorted(S2.objects)
 
-    src_objs = sorted(S1.objects)
-    for perm in permutations(sorted(S2.objects)):
-        obj_map = dict(zip(src_objs, perm))
-        if any(len(S1.base_sets[A]) != len(S2.base_sets[obj_map[A]])
-               for A in S1.objects):
-            continue
-        sig1 = {}
-        for comp in comps1:
-            key = tuple(sorted(obj_map[o] for o in comp.objects))
-            sig1.setdefault(key, []).append(comp)
-        sig2 = {}
-        for comp in comps2:
-            sig2.setdefault(comp.objects, []).append(comp)
-        if {k: len(v) for k, v in sig1.items()} != \
-                {k: len(v) for k, v in sig2.items()}:
+    def bijections(chosen):
+        if len(chosen) == len(src):
+            yield dict(zip(src, chosen))
+            return
+        A = src[len(chosen)]
+        for B in tgt:
+            if B not in chosen and prof1[A] == prof2[B] and all(
+                    share1[frozenset((A, A2))] == share2[frozenset((B, B2))]
+                    for A2, B2 in zip(src, chosen)):
+                yield from bijections(chosen + [B])
+
+    for obj_map in bijections([]):
+        keys = [tuple(sorted(obj_map[o] for o in c.objects)) for c in comps1]
+        order = sorted(range(len(comps1)), key=keys.__getitem__)
+        if [keys[i] for i in order] != [c.objects for c in comps2]:
             continue
         base = {A: {} for A in S1.objects}
-        for key in sig1:
-            for c1, c2 in zip(sig1[key], sig2[key]):
-                for o in c1.objects:
-                    base[o][c1.diag[o]] = c2.diag[obj_map[o]]
-        feasible = True
-        for A in S1.objects:
+        for i, c2 in zip(order, comps2):
+            for o, x in comps1[i].diag.items():
+                base[o][x] = c2.diag[obj_map[o]]
+        for A in S1.objects:  # free points pair up in base order
             used = set(base[A].values())
-            free1 = [x for x in F1.base_sets[A] if x not in base[A]]
-            free2 = [x for x in F2.base_sets[obj_map[A]] if x not in used]
-            if len(free1) != len(free2):
-                feasible = False
-                break
-            base[A].update(dict(zip(free1, free2)))
-        if not feasible:
-            continue
+            base[A].update(zip([x for x in F1.base_sets[A] if x not in base[A]],
+                               [x for x in F2.base_sets[obj_map[A]] if x not in used]))
         relabel = SpaceoidMorphism(F1, F2, obj_map, base, {})
         if not validate_morphism(relabel, tol).ok:
             continue
-        to_fixed = replace(identity_morphism(S1), target=F1, scalars=dict(lam1))
-        from_fixed = replace(identity_morphism(F2), target=S2,
-                             scalars={h: 1.0 / v for h, v in lam2.items()})
         m = compose_morphisms(compose_morphisms(to_fixed, relabel), from_fixed)
         if validate_morphism(m, tol).ok:
             return m

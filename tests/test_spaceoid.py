@@ -1,10 +1,13 @@
 from collections import Counter
+from dataclasses import replace
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 from cstardual.errors import EndpointMismatch
 from cstardual.generators import GenParams, gen_morphism_pair, gen_spaceoid
+from cstardual.rng import Xoshiro256StarStar
 from cstardual.spaceoid import (
     FiniteSpaceoid,
     SpaceoidMorphism,
@@ -315,3 +318,124 @@ class TestMorphismValidation:
             "scalar_unimodular": 2, "scalar_involution": 2, "scalar_multiplicative": 2,
             "component_preserving": 5, "converging_at_infinity": 1,
             "vanishing_at_infinity": 1}
+
+
+def reference_isomorphic(S1, S2):
+    """Brute-force verdict: some object bijection keeps base-set sizes and
+    maps the multiset of gauge-fixed linked components onto the other's."""
+    if len(S1.objects) != len(S2.objects):
+        return False
+    comps1, comps2 = ([c.objects for c in gauge_fix(S)[0].components() if len(c.objects) > 1]
+                      for S in (S1, S2))
+    for perm in permutations(S2.objects):
+        f = dict(zip(S1.objects, perm))
+        if all(len(S1.base_sets[A]) == len(S2.base_sets[f[A]]) for A in S1.objects) and \
+                Counter(tuple(sorted(f[o] for o in objs)) for objs in comps1) == Counter(comps2):
+            return True
+    return False
+
+
+def linked_spaceoid(objects, base_sets, links, rng):
+    """Spaceoid whose components are ``links`` (each: object -> base point),
+    with random unit frames."""
+    points = {}
+    for link in links:
+        for A in link:
+            for B in link:
+                if A != B:
+                    points.setdefault((A, B), []).append((link[A], link[B]))
+    S = FiniteSpaceoid(objects, base_sets, points)
+    return apply_gauge(S, {h: rng.phase() for h in S.all_points()})
+
+
+def relinked(S, rng, kind):
+    """S with objects and base points relabelled, after dropping one link
+    (``drop``), moving one link end to another object (``move``), or neither."""
+    objs = list(S.objects)
+    links = [dict(c.diag) for c in S.components() if len(c.objects) > 1]
+    if kind == "drop" and links:
+        links.pop(rng.randrange(len(links)))
+    if kind == "move" and links:
+        link = links[rng.randrange(len(links))]
+        free = {B: [x for x in S.base_sets[B] if all(lk.get(B) != x for lk in links)]
+                for B in objs if B not in link}
+        free = {B: xs for B, xs in free.items() if xs}
+        if free:
+            B = sorted(free)[rng.randrange(len(free))]
+            del link[sorted(link)[rng.randrange(len(link))]]
+            link[B] = free[B][rng.randrange(len(free[B]))]
+    names = list(objs)
+    rng.shuffle(names)
+    ren = dict(zip(objs, names))
+    lab = {A: {x: f"{x}-{k}" for k, x in enumerate(rng.sample(xs, len(xs)))}
+           for A, xs in S.base_sets.items()}
+    return linked_spaceoid(rng.sample(names, len(names)),
+                           {ren[A]: [lab[A][x] for x in S.base_sets[A]] for A in objs},
+                           [{ren[A]: lab[A][x] for A, x in lk.items()} for lk in links], rng)
+
+
+def graph_spaceoid(n, edges, names):
+    """One object per vertex, one base point per edge end and one two-object
+    link per edge, so two such spaceoids are isomorphic exactly when the
+    graphs are."""
+    base, links = {names[v]: [] for v in range(n)}, []
+    for k, (u, v) in enumerate(edges):
+        base[names[u]].append(f"e{k}")
+        base[names[v]].append(f"e{k}")
+        links.append({names[u]: f"e{k}", names[v]: f"e{k}"})
+    return linked_spaceoid(names[:n], base, links, Xoshiro256StarStar(len(edges)))
+
+
+def torus_graph(steps):
+    """Cayley graph of Z4 x Z4 with the given connection set, vertex 4a + b."""
+    return sorted({tuple(sorted((4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4)))
+                   for a in range(4) for b in range(4) for da, db in steps})
+
+
+ROOK = torus_graph([(d, 0) for d in (1, 2, 3)] + [(0, d) for d in (1, 2, 3)])
+SHRIKHANDE = torus_graph([(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)])
+NAMES = [f"O{k:02d}" for k in range(16)]
+
+
+class TestIsomorphismSearch:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_verdict_matches_brute_force(self, seed):
+        rng = Xoshiro256StarStar(seed + 500)
+        for k in range(25):
+            params = GenParams(seed=100 * seed + k, n_objects=rng.randint(2, 6),
+                               max_base=rng.randint(2, 3), edge_density=(0.5, 0.8, 1.0)[k % 3],
+                               phase_mode="random")
+            S = gen_spaceoid(params)
+            kind = ("same", "drop", "move", "other")[k % 4]
+            T = gen_spaceoid(replace(params, seed=params.seed + 7919)) if kind == "other" \
+                else relinked(S, rng, kind)
+            m = spaceoids_isomorphic(S, T)
+            assert (m is not None) == reference_isomorphic(S, T), (seed, k, kind)
+            if m is not None:
+                assert m.source is S and m.target is T
+                assert validate_morphism(m).ok
+                assert validate_morphism(invert_morphism(m)).ok
+
+    def test_relabelled_rook_graph_found(self):
+        rng = Xoshiro256StarStar(3)
+        S = graph_spaceoid(16, ROOK, NAMES)
+        T = relinked(S, rng, "same")
+        m = spaceoids_isomorphic(S, T)
+        assert m is not None and validate_morphism(m).ok
+
+    @pytest.mark.parametrize("edges1, edges2, n", [
+        (ROOK, SHRIKHANDE, 16), (SHRIKHANDE, ROOK, 16),
+        ([(k, (k + 1) % 12) for k in range(12)],
+         [(k, (k + 1) % 6) for k in range(6)] + [(6 + k, 6 + (k + 1) % 6) for k in range(6)], 12),
+    ], ids=["rook-shrikhande", "shrikhande-rook", "cycle12-two-cycle6"])
+    def test_equal_profiles_rejected(self, edges1, edges2, n):
+        # every object has the same base-set size and component sizes on both sides
+        assert spaceoids_isomorphic(graph_spaceoid(n, edges1, NAMES),
+                                    graph_spaceoid(n, edges2, NAMES[::-1])) is None
+
+    def test_sixteen_unlinked_objects_found(self):
+        S = FiniteSpaceoid(NAMES, {A: ["x", "y"] for A in NAMES}, {})
+        T = FiniteSpaceoid(NAMES[::-1], {A: ["u", "v"] for A in NAMES}, {})
+        m = spaceoids_isomorphic(S, T)
+        assert m is not None and validate_morphism(m).ok
+        assert m.obj_map == {A: A for A in NAMES}
