@@ -305,21 +305,21 @@ def _corner_zero_tol(cat, A, B, tol):
     return 1e-6 * (1.0 + max_abs(cat.idempotents(A, tol)) * max_abs(cat.idempotents(B, tol)))
 
 
-def _corner_generator(K, zero_tol, where):
-    """Unit generator of the range of the corner projection K, or None when
-    K is zero.  A range of dimension > 1 raises CornerDimensionExceedsOne;
-    ``where`` is the (A, B, p, q) named in its message."""
-    norms = np.linalg.norm(K, axis=0)
-    jmax = int(np.argmax(norms))
-    if norms[jmax] <= zero_tol:
-        return None
-    u = K[:, jmax] / norms[jmax]
-    residual = K - np.outer(u, u.conj() @ K)
-    if max_abs(residual) > zero_tol * max(1.0, max_abs(K)):
-        A, B, p, q = where
-        raise CornerDimensionExceedsOne(
-            f"corner ({A},{B}) at characters ({p},{q}) has dimension > 1")
-    return u
+def _corner_generators(K, zero_tol):
+    """Unit generators of the ranges of a stack of corner projections
+    ``K[s, n, n]`` with ``n > 0``: ``(u, u* K, nonzero, exceeds)``, where
+    ``u`` is the largest column normalized (meaningful where ``nonzero``) and
+    ``exceeds`` marks a range of dimension > 1."""
+    s = np.arange(len(K))
+    norms = np.sqrt(np.add.reduce((K.conj() * K).real, axis=1))
+    jmax = np.argmax(norms, axis=1)
+    top = norms[s, jmax]
+    nonzero = top > zero_tol
+    u = K[s, :, jmax] / np.where(nonzero, top, 1.0)[:, None]
+    functional = np.matmul(u.conj()[:, None, :], K)[:, 0, :]
+    residual = np.max(np.abs(K - u[:, :, None] * functional[:, None, :]), axis=(1, 2))
+    exceeds = nonzero & (residual > zero_tol * np.maximum(1.0, np.max(np.abs(K), axis=(1, 2))))
+    return u, functional, nonzero, exceeds
 
 
 def corner(cat, A, B, p: DiagonalCharacter, q: DiagonalCharacter,
@@ -330,41 +330,44 @@ def corner(cat, A, B, p: DiagonalCharacter, q: DiagonalCharacter,
     anything larger raises CornerDimensionExceedsOne.
     """
     K = corner_projection_matrix(cat, A, B, p, q, tol)
-    u = None if K.size == 0 else _corner_generator(
-        K, _corner_zero_tol(cat, A, B, tol), (A, B, p.index, q.index))
-    if u is None:
+    if K.size == 0:
         return np.zeros((cat.dim(A, B), 0), dtype=complex)
-    return u[:, None]
+    u, _, nonzero, exceeds = _corner_generators(K[None], _corner_zero_tol(cat, A, B, tol))
+    if exceeds[0]:
+        raise CornerDimensionExceedsOne(
+            f"corner ({A},{B}) at characters ({p.index},{q.index}) has dimension > 1")
+    return u.T[:, nonzero]
+
+
+def _corner_actions(cat, A, B, tol):
+    """``left[p]`` is x -> e_p . x and ``right[q]`` is x -> x . e_q on
+    Hom(A,B), for every minimal idempotent at A and at B."""
+    left = np.einsum("ip,ijk->pkj", cat.idempotents(A, tol), cat.comp[(A, A, B)])
+    right = np.einsum("jq,ijk->qki", cat.idempotents(B, tol), cat.comp[(A, B, B)])
+    return left, right
 
 
 def _corner_matching(cat, A, B, tol):
     """Partial bijection between diagonal characters induced by nonzero
-    corners: dict p_index -> (q_index, generator u, functional u* K)."""
-    chars_a = cat.characters(A, tol)
-    chars_b = cat.characters(B, tol)
-    zero_tol = _corner_zero_tol(cat, A, B, tol)
-    match = {}
+    corners: dict p_index -> (q_index, generator u, functional u* K).  All
+    corner projections are taken at once; the first failure in (p, q) order
+    is raised: a corner of dimension > 1, or a character of A with two
+    partners, and after those a character of B with two partners."""
     if cat.dim(A, B) == 0:
-        return match
-    # left[p] is x -> e_p . x and right[q] is x -> x . e_q on Hom(A,B)
-    left = np.einsum("ip,ijk->pkj", cat.idempotents(A, tol), cat.comp[(A, A, B)])
-    right = np.einsum("jq,ijk->qki", cat.idempotents(B, tol), cat.comp[(A, B, B)])
-    for p, q in product(range(len(chars_a)), range(len(chars_b))):
-        K = right[q] @ left[p]
-        u = _corner_generator(K, zero_tol, (A, B, p, q))
-        if u is None:
-            continue
-        if p in match:
-            raise HolonomyViolation(
-                f"character {p} of {A} matches two characters of {B}")
-        match[p] = (q, u, u.conj() @ K)
-    seen = {}
-    for pi, (qi, _, _) in match.items():
-        if qi in seen:
-            raise HolonomyViolation(
-                f"character {qi} of {B} matches two characters of {A}")
-        seen[qi] = pi
-    return match
+        return {}
+    left, right = _corner_actions(cat, A, B, tol)
+    n, shape = cat.dim(A, B), (len(left), len(right))
+    u, functional, nonzero, exceeds = (x.reshape(shape + x.shape[1:]) for x in _corner_generators(
+        (right[None] @ left[:, None]).reshape(-1, n, n), _corner_zero_tol(cat, A, B, tol)))
+    second = nonzero & (np.cumsum(nonzero, axis=1) > 1)
+    for p, q in np.argwhere(exceeds | second)[:1]:
+        if exceeds[p, q]:
+            raise CornerDimensionExceedsOne(
+                f"corner ({A},{B}) at characters ({p},{q}) has dimension > 1")
+        raise HolonomyViolation(f"character {p} of {A} matches two characters of {B}")
+    for p, q in np.argwhere(nonzero & (np.cumsum(nonzero, axis=0) > 1))[:1]:
+        raise HolonomyViolation(f"character {q} of {B} matches two characters of {A}")
+    return {int(p): (int(q), u[p, q], functional[p, q]) for p, q in np.argwhere(nonzero)}
 
 
 # ---------------------------------------------------------------------------

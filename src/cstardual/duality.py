@@ -211,8 +211,7 @@ def check_naturality_E(m: SpaceoidMorphism, tol: Tolerance = DEFAULT_TOL) -> Nat
     if left.obj_map != right.obj_map or left.base_maps != right.base_maps:
         report.record("point maps differ", float("inf"))
         return report
-    for h in E1.all_points():
-        p1, p2 = left.point_map(h), right.point_map(h)
+    for h, p1, p2 in zip(E1.all_points(), left._image_handles(), right._image_handles()):
         if p1 != p2:
             report.record(f"{h}: {p1} vs {p2}", float("inf"))
             continue

@@ -17,8 +17,8 @@ from .cstarcat import (
     FiniteCStarCategory,
     StarFunctor,
     check_non_degenerate,
-    corner_projection_matrix,
-    cstar_norm,
+    _corner_actions,
+    _cstar_norms,
 )
 from .errors import (
     DegenerateFunctor,
@@ -123,17 +123,20 @@ def gamma_on_morphism(m: SpaceoidMorphism, tol: Tolerance = DEFAULT_TOL,
     dst_cat = cats[1] if cats else sections_category(m.source, tol, check=False)
 
     inv_obj = {v: k for k, v in m.obj_map.items()}
+    S = m.source
+    images = m.target._local[m._image_points()]
+    scalars = np.array([m.scalar(h) for h in S._handles], dtype=complex)
     homs = {}
     for A2, B2 in product(m.target.objects, repeat=2):
         A, B = inv_obj[A2], inv_obj[B2]
         H = np.zeros((dst_cat.dim(A, B), src_cat.dim(A2, B2)), dtype=complex)
         if A2 == B2:
             tgt_idx = {x: j for j, x in enumerate(diag_basis(m.target, A2))}
-            for i, x in enumerate(diag_basis(m.source, A)):
+            for i, x in enumerate(diag_basis(S, A)):
                 H[i, tgt_idx[m.base_maps[A][x]]] = 1.0
         else:
-            for i, h in enumerate(m.source.hom_points(A, B)):
-                H[i, m.point_map(h)[2]] = m.scalar(h)
+            ps = S._offset[(A, B)] + np.arange(len(S.points[(A, B)]))
+            H[S._local[ps], images[ps]] = scalars[ps]
         homs[(A2, B2)] = H
     return StarFunctor(src_cat, dst_cat, inv_obj, homs)
 
@@ -164,30 +167,13 @@ class GelfandData:
         return f"{k:0{width}d}"
 
 
-def _frame_vector(cat, A, B, basis_vec, tol):
-    """Normalize a corner generator: C*-norm one, first nonzero coordinate
-    positive real."""
-    nrm = cstar_norm(cat, A, B, basis_vec, tol)
-    if nrm <= 1e-6:
-        raise HolonomyViolation(
-            f"corner generator in Hom({A},{B}) has vanishing norm; "
-            f"input is not a valid commutative C*-category")
-    u = basis_vec / nrm
-    mags = np.abs(u)
-    first = int(np.argmax(mags > 1e-8 * np.max(mags)))
-    return u * (np.conj(u[first]) / abs(u[first]))
-
-
-def _project_coeff(frame, w, tol, context):
-    """Coefficient of w against the one-dimensional frame; the residual must
-    vanish for the input to be a valid commutative category."""
-    denom = np.vdot(frame, frame)
-    coeff = np.vdot(frame, w) / denom
-    residual = max_abs(w - coeff * frame)
-    scale = 1.0 + max_abs(w)
-    if residual > 1e-6 * scale:
-        raise HolonomyViolation(f"projection residual {residual:g} at {context}")
-    return complex(coeff)
+def _project(onto, W):
+    """Coefficients of the rows of W against the rows of ``onto``, each a
+    one-dimensional frame, with the residuals and the bounds under which they
+    must stay for the input to be a valid commutative category."""
+    coeff = np.sum(np.conj(onto) * W, axis=1) / np.sum(np.conj(onto) * onto, axis=1)
+    residual = np.max(np.abs(W - coeff[:, None] * onto), axis=1, initial=0.0)
+    return coeff, residual, 1e-6 * (1.0 + np.max(np.abs(W), axis=1, initial=0.0))
 
 
 def spectral_spaceoid(C: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL):
@@ -196,70 +182,96 @@ def spectral_spaceoid(C: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL):
     Base points are the canonical characters of the diagonals; Hom(A,B)
     points are the character pairs with nonzero corner, frames are the
     corner generators normalized to C*-norm one with deterministic phase,
-    and the cocycle is read off by composing and involuting frames.
+    and the cocycle is read off by composing and involuting frames: one
+    stacked contraction per Hom-set for ``nu`` and per Hom triple for ``c``.
+    The first failing point, then the first failing pair-table row, is
+    reported.
 
     Returns ``(S, G)`` with ``G`` the section coordinates of every basis
     element (the data of the transform into the section category of S).
     """
     objs = C.objects
-    gd = GelfandData(diag={}, hat={}, frames={})
-    base_sets = {}
-    for A in objs:
-        omega = C.character_matrix(A, tol)
-        gd.diag[A] = omega
-        base_sets[A] = [gd.point_label(A, k) for k in range(omega.shape[0])]
+    gd = GelfandData(diag={A: C.character_matrix(A, tol) for A in objs}, hat={}, frames={})
+    base_sets = {A: [gd.point_label(A, k) for k in range(len(gd.diag[A]))] for A in objs}
 
-    points = {}
-    frames = {}
-    coords = {}
-    for A, B in product(objs, repeat=2):
-        if A == B:
-            continue
+    points, gens, funcs, norms = {}, {}, {}, {}
+    for A, B in C.off_diagonal_pairs():
         matching = C.corner_matching(A, B, tol)
-        pts = []
-        for p_idx in sorted(matching):
-            q_idx, gen, functional = matching[p_idx]
-            key = (A, B, gd.point_label(A, p_idx), gd.point_label(B, q_idx))
-            pts.append(key[2:])
-            frames[key] = _frame_vector(C, A, B, gen, tol)
-            # frame = s . gen with |gen| = 1, so frame* K / |frame|^2 = gen* K / s
-            coords[key] = functional / np.vdot(gen, frames[key])
-        points[(A, B)] = pts
-        total = len(pts)
-        if total != C.dim(A, B):
+        ps, shape = sorted(matching), (len(matching), C.dim(A, B))
+        gens[(A, B)] = np.array([matching[p][1] for p in ps], dtype=complex).reshape(shape)
+        funcs[(A, B)] = np.array([matching[p][2] for p in ps], dtype=complex).reshape(shape)
+        norms[(A, B)] = _cstar_norms(C, A, B, gens[(A, B)].T, tol)
+        if np.any(norms[(A, B)] <= 1e-6):
             raise HolonomyViolation(
-                f"corner dimensions over Hom({A},{B}) sum to {total}, "
+                f"corner generator in Hom({A},{B}) has vanishing norm; "
+                f"input is not a valid commutative C*-category")
+        points[(A, B)] = [(gd.point_label(A, p), gd.point_label(B, matching[p][0])) for p in ps]
+        if len(ps) != C.dim(A, B):
+            raise HolonomyViolation(
+                f"corner dimensions over Hom({A},{B}) sum to {len(ps)}, "
                 f"dimension is {C.dim(A, B)}")
-
     S = FiniteSpaceoid(objs, base_sets, points)
-    handles = S.all_points()
-    keys = [h[:2] + (S.target(h), S.source(h)) for h in handles]
-    frame = [frames[key] for key in keys]
-    nu = np.empty(len(handles), dtype=complex)
-    c = np.empty(len(S._p), dtype=complex)
+
+    # Every point's frame is one row of one array, in point order, zero-padded
+    # to the widest Hom-set: the generator at C*-norm one, its first nonzero
+    # coordinate made positive real.
+    N, width = len(S._handles), max(C.dims.values())
+    rows = {key: slice(S._offset[key], S._offset[key] + len(pts)) for key, pts in S.points.items()}
+    (gen, functional), scale = np.zeros((2, N, width), dtype=complex), np.ones(N)
+    for key, at in rows.items():
+        d = C.dim(*key)
+        gen[at, :d], functional[at, :d], scale[at] = gens[key], funcs[key], norms[key]
+    U = gen / scale[:, None]
+    mags = np.abs(U)
+    first = np.argmax(mags > 1e-8 * np.max(mags, axis=1, keepdims=True), axis=1)
+    lead = U[np.arange(N), first]
+    frame = U * (np.conj(lead) / np.abs(lead))[:, None]
+    # frame = s . gen with |gen| = 1, so frame* K / |frame|^2 = gen* K / s
+    hat = functional / np.sum(np.conj(gen) * frame, axis=1)[:, None]
+
+    # nu: each frame involuted, one product per Hom-set, against the frame of
+    # the inverse point
+    star, W = S._star, np.zeros((N, width), dtype=complex)
+    for (A, B), at in rows.items():
+        gd.frames[(A, B)], gd.hat[(A, B)] = frame[at, :C.dim(A, B)], hat[at, :C.dim(A, B)].T
+        W[at, :C.dim(B, A)] = np.conj(gd.frames[(A, B)]) @ C.invol[(A, B)].T
+    nu, (nu_res, nu_bound) = np.zeros(N, dtype=complex), np.zeros((2, N))
+    has = np.flatnonzero(star >= 0)
+    nu[has], nu_res[has], nu_bound[has] = _project(frame[star[has]], W[has])
+
+    # c: frame products, one contraction per Hom triple over its pair-table
+    # rows, against the frame of the composite point or, on the diagonal,
+    # the idempotent of the target character
+    P, Q, R, n = S._p, S._q, S._r, len(objs)
+    live = np.flatnonzero(R != NO_COMPOSITE)
+    triple = ((S._tobj[P] * n + S._sobj[P]) * n + S._sobj[Q])[live]
+    W = np.zeros((len(P), width), dtype=complex)
+    for t in np.unique(triple).tolist():
+        at = live[triple == t]
+        A, B, Cobj = objs[t // (n * n)], objs[t // n % n], objs[t % n]
+        W[at, :C.dim(A, Cobj)] = np.einsum("ri,rj,ijk->rk", frame[P[at], :C.dim(A, B)],
+                                           frame[Q[at], :C.dim(B, Cobj)], C.comp[(A, B, Cobj)])
+    idem = np.zeros((n, width, width), dtype=complex)
+    for a, A in enumerate(objs):
+        idem[a, :C.dim(A, A), :C.dim(A, A)] = C.idempotents(A, tol).T
+    onto = np.where((R >= 0)[:, None], frame[np.maximum(R, 0)], idem[S._tobj[P], S._tlab[P]])
+    c, (c_res, c_bound) = np.zeros(len(P), dtype=complex), np.zeros((2, len(P)))
+    c[live], c_res[live], c_bound[live] = _project(onto[live], W[live])
+
+    h = S._handles
     try:
-        for p, h in enumerate(handles):
-            w = C.star(h[0], h[1], frame[p])
-            nu[p] = _project_coeff(frame[S._point(S.star(h))], w, tol, f"nu{h}")
-        for row, (p, q, r) in enumerate(zip(S._p.tolist(), S._q.tolist(), S._r.tolist())):
-            (A, B, _), (_, Cobj, _) = h1, h2 = handles[p], handles[q]
-            w = C.compose(A, B, Cobj, frame[p], frame[q])
-            if r == NO_COMPOSITE:
+        for k in np.flatnonzero((star < 0) | (nu_res > nu_bound))[:1]:
+            S.star(h[k])  # raises where the point has no inverse
+            raise HolonomyViolation(f"projection residual {nu_res[k]:g} at nu{h[k]}")
+        for k in np.flatnonzero((R == NO_COMPOSITE) | (c_res > c_bound))[:1]:
+            if R[k] == NO_COMPOSITE:
                 S._composites()  # raises: this is the first row without a composite
-            # a composite on the diagonal: project on the idempotent
-            onto = C.idempotents(A, tol)[:, int(S.target(h1))] if r == DIAGONAL else frame[r]
-            c[row] = _project_coeff(onto, w, tol, f"c{h1},{h2}")
+            raise HolonomyViolation(
+                f"projection residual {c_res[k]:g} at c{h[P[k]]},{h[Q[k]]}")
     except InvalidSpaceoid as exc:
         # matching produced no inverse/composite point: invalid input category
         raise HolonomyViolation(str(exc))
-
-    S = S._with_phases(nu, c)
-    for A, B in S.points:
-        ps = range(S._offset[(A, B)], S._offset[(A, B)] + len(S.points[(A, B)]))
-        shape = (len(ps), C.dim(A, B))
-        gd.frames[(A, B)] = np.array([frame[p] for p in ps], dtype=complex).reshape(shape)
-        gd.hat[(A, B)] = np.array([coords[keys[p]] for p in ps], dtype=complex).reshape(shape).T
-    return S, gd
+    return S._with_phases(nu, c), gd
 
 
 # ---------------------------------------------------------------------------
@@ -310,17 +322,20 @@ def sigma_on_morphism(F: StarFunctor, tol: Tolerance = DEFAULT_TOL,
         base_maps[A2] = bm
 
     m = SpaceoidMorphism(S2, S1, inv_obj, base_maps, {})
-    scalars = {}
-    for h in S2.all_points():
-        A2, B2, _ = h
+    # per Hom-set of S2: the image frames through the functor, cut down by
+    # the corner projection of each point, against the point's own frame
+    images = m._images()
+    scalars, (res, bound) = np.zeros(len(images), dtype=complex), np.zeros((2, len(images)))
+    for (A2, B2), off in S2._offset.items():
         A, B = inv_obj[A2], inv_obj[B2]
-        target_handle = m.point_map(h)
-        u1 = G1.frames[(A, B)][target_handle[2]]
-        y = F.hom_maps[(A, B)] @ u1
-        p = tgt.characters(A2, tol)[int(S2.target(h))]
-        q = tgt.characters(B2, tol)[int(S2.source(h))]
-        K = corner_projection_matrix(tgt, A2, B2, p, q, tol)
-        u2 = G2.frames[(A2, B2)][h[2]]
-        scalars[h] = _project_coeff(u2, K @ y, tol, f"scalar{h}")
-    m.scalars = scalars
+        ps = off + np.flatnonzero(images[off:off + len(S2.points[(A2, B2)])] >= 0)
+        left, right = _corner_actions(tgt, A2, B2, tol)
+        Y = G1.frames[(A, B)][S1._local[images[ps]]] @ F.hom_maps[(A, B)].T
+        KY = right[S2._slab[ps]] @ (left[S2._tlab[ps]] @ Y[:, :, None])
+        scalars[ps], res[ps], bound[ps] = _project(G2.frames[(A2, B2)][S2._local[ps]], KY[..., 0])
+    h = S2._handles
+    for k in np.flatnonzero((images < 0) | (res > bound))[:1]:
+        m.point_map(h[k])  # raises where the point has no image
+        raise HolonomyViolation(f"projection residual {res[k]:g} at scalar{h[k]}")
+    m.scalars = dict(zip(h, scalars.tolist()))
     return m

@@ -372,14 +372,21 @@ def gauge_fix(S: FiniteSpaceoid):
     Returns ``(S_fixed, lam)`` with ``lam`` the applied per-point phase
     change.  Idempotent.
     """
-    lam = np.ones(len(S._handles), dtype=complex)
+    S._inverses(), S._composites()  # raise here: every frame looked up below exists
+    # per base node, the object index and label code of its component's root
+    root = np.zeros((2, len(S.objects), S._radix), dtype=np.int64)
     for comp in S.components():
-        root = comp.objects[0]
-        for (A, B), h in comp.points.items():
-            if A != root:  # the frame of A -> B: nu(root -> A) c(A -> root, root -> B)
-                x = S._point(comp.points[(A, root)])
-                lam[S._point(h)] = S._nu[S._star[x]] * \
-                    (S._c[S._row(x, S._point(comp.points[(root, B)]))] if B != root else 1.0)
+        r = comp.objects[0]
+        node = S._object_index[r], S._codes[r][comp.diag[r]]
+        for A, x in comp.diag.items():
+            root[:, S._object_index[A], S._codes[A][x]] = node
+    # the frame of A -> B: nu(root -> A) c(A -> root, root -> B), or 1 where A is the root
+    ra, rl = root[:, S._tobj, S._tlab]
+    x = S._find(S._tobj, ra, S._tlab, rl)  # A -> root, -1 where A is the root
+    y = S._find(ra, S._sobj, rl, S._slab)  # root -> B, -1 where B is the root
+    lam = np.where(x >= 0, S._nu[S._star[x]], 1.0)
+    via = (x >= 0) & (y >= 0)
+    lam[via] *= S._c[S._row(x[via], y[via])]
     return _gauge(S, lam), dict(zip(S._handles, lam.tolist()))
 
 
@@ -419,12 +426,17 @@ class SpaceoidMorphism:
             raise InvalidMorphism(f"point {handle} has no image in Hom({A2},{B2})")
         return out
 
-    def _image_handles(self):
-        """``point_map`` of every source point, in point order."""
+    def _image_points(self):
+        """Target point number of every source point; raises where one has
+        no image."""
         images = self._images()
         for k in np.flatnonzero(images < 0)[:1]:
             self.point_map(self.source._handles[k])  # raises: no image
-        return [self.target._handles[i] for i in images]
+        return images
+
+    def _image_handles(self):
+        """``point_map`` of every source point, in point order."""
+        return [self.target._handles[i] for i in self._image_points()]
 
     def scalar(self, handle) -> complex:
         return complex(self.scalars.get(handle, 1.0))
@@ -533,7 +545,7 @@ def morphisms_equal(m1: SpaceoidMorphism, m2: SpaceoidMorphism, tol=1e-6):
         return False, float("inf")
     if m1.obj_map != m2.obj_map or m1.base_maps != m2.base_maps:
         return False, float("inf")
-    m1._image_handles()  # raises where a point has no image; equal maps agree elsewhere
+    m1._image_points()  # raises where a point has no image; equal maps agree elsewhere
     dev = max([0.0] + [abs(m1.scalar(h) - m2.scalar(h)) for h in m1.source.all_points()])
     return dev <= tol, dev
 

@@ -14,7 +14,8 @@ from cstardual.cstarcat import (
     linking_category,
     validate_category,
 )
-from cstardual.errors import BimoduleAxiomViolation, DiagonalNotSemisimple, HolonomyViolation
+from cstardual.errors import (BimoduleAxiomViolation, CornerDimensionExceedsOne,
+                             DiagonalNotSemisimple, HolonomyViolation)
 from cstardual.functors import sections_category
 from cstardual.generators import GenParams, gen_category
 from cstardual.numlin import Tolerance, max_abs
@@ -138,6 +139,43 @@ class TestCorner:
                         q.index for q in characters_of_diagonal(cat, B)
                         if corner(cat, A, B, p, q).shape[1] > 0]
                     assert len(partners) <= 1
+
+
+def duplicated_corner_category():
+    """One base point per object and Hom(A,B) spanned by two copies of the
+    same corner: both diagonal units act on it as the identity."""
+    one = np.ones((1, 1, 1))
+    dims = {("A", "A"): 1, ("B", "B"): 1, ("A", "B"): 2, ("B", "A"): 0}
+    comp = {("A", "A", "A"): one, ("B", "B", "B"): one,
+            ("A", "A", "B"): np.eye(2)[None], ("A", "B", "B"): np.eye(2)[:, None]}
+    invol = {("A", "A"): np.eye(1), ("B", "B"): np.eye(1)}
+    return FiniteCStarCategory(("A", "B"), dims, comp, invol, {"A": np.ones(1), "B": np.ones(1)})
+
+
+class TestCornerKernel:
+    def test_corner_of_dimension_two_raises(self):
+        cat = duplicated_corner_category()
+        p, q = characters_of_diagonal(cat, "A")[0], characters_of_diagonal(cat, "B")[0]
+        with pytest.raises(CornerDimensionExceedsOne, match=r"\(A,B\) at characters \(0,0\)"):
+            corner(cat, "A", "B", p, q)
+        with pytest.raises(CornerDimensionExceedsOne):
+            cat.corner_matching("A", "B")
+
+    def test_corner_returns_the_matching_generator(self, footnote_category):
+        scrambled, _ = gen_category(GenParams(seed=13, n_objects=3, max_base=4, edge_density=0.9,
+                                              phase_mode="random", scramble="invertible"))
+        for cat, (A, B) in [(cat, pair) for cat in (footnote_category, scrambled)
+                            for pair in cat.off_diagonal_pairs()]:
+            match = cat.corner_matching(A, B)
+            for p in characters_of_diagonal(cat, A):
+                for q in characters_of_diagonal(cat, B):
+                    basis = corner(cat, A, B, p, q)
+                    if match.get(p.index, (None,))[0] != q.index:
+                        assert basis.shape == (cat.dim(A, B), 0)
+                        continue
+                    u = match[p.index][1]
+                    assert basis.shape == (cat.dim(A, B), 1)
+                    assert abs(abs(np.vdot(u, basis[:, 0])) - 1.0) < 1e-12
 
 
 class TestCstarNorm:

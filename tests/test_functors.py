@@ -1,14 +1,21 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from cstardual.cstarcat import (
+    FiniteCStarCategory,
     characters_of_diagonal,
     check_star_functor,
+    corner_projection_matrix,
+    cstar_norm,
     identity_functor,
     validate_category,
 )
-from cstardual.errors import DegenerateFunctor, HolonomyViolation
+from cstardual.errors import (CornerDimensionExceedsOne, CstarDualError, DegenerateFunctor,
+                             HolonomyViolation, InvalidSpaceoid)
 from cstardual.functors import (
+    GelfandData,
     gamma_on_morphism,
     sections_category,
     sigma_on_morphism,
@@ -16,7 +23,10 @@ from cstardual.functors import (
 )
 from cstardual.generators import GenParams, gen_category, gen_functor_pair, gen_morphism_pair
 from cstardual.numlin import max_abs
+from cstardual.rng import Xoshiro256StarStar
 from cstardual.spaceoid import (
+    DIAGONAL,
+    NO_COMPOSITE,
     FiniteSpaceoid,
     SpaceoidMorphism,
     compose_morphisms,
@@ -280,3 +290,132 @@ class TestComponentFunctionals:
                 for A, B in iproduct(cat.objects, repeat=2):
                     lhs = funcs[(B, A)] @ cat.invol[(A, B)]
                     assert max_abs(np.conj(lhs) - funcs[(A, B)]) < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# the spectrum against a reference read one corner, point and row at a time
+# ---------------------------------------------------------------------------
+
+def _reference_project(frame, w, context):
+    coeff = np.vdot(frame, w) / np.vdot(frame, frame)
+    residual = max_abs(w - coeff * frame)
+    if residual > 1e-6 * (1.0 + max_abs(w)):
+        raise HolonomyViolation(f"projection residual {residual:g} at {context}")
+    return complex(coeff)
+
+
+def reference_spectrum(C):
+    """Spectral spaceoid and frames from per-corner, per-point and per-row
+    loops; the spaceoid's phases are the reference for the stacked build."""
+    label = GelfandData({A: C.character_matrix(A) for A in C.objects}, {}, {}).point_label
+    chars = {A: characters_of_diagonal(C, A) for A in C.objects}
+    points, frames = {}, {}
+    for A, B in C.off_diagonal_pairs():
+        E = max_abs(C.idempotents(A)) * max_abs(C.idempotents(B))
+        zero_tol, match = 1e-6 * (1.0 + E), {}
+        for p, q in product(chars[A], chars[B]) if C.dim(A, B) else []:
+            K = corner_projection_matrix(C, A, B, p, q)
+            norms = np.linalg.norm(K, axis=0)
+            if norms.max() <= zero_tol:
+                continue
+            u = K[:, np.argmax(norms)] / norms.max()
+            if max_abs(K - np.outer(u, u.conj() @ K)) > zero_tol * max(1.0, max_abs(K)):
+                raise CornerDimensionExceedsOne(
+                    f"corner ({A},{B}) at characters ({p.index},{q.index}) has dimension > 1")
+            if p.index in match:
+                raise HolonomyViolation(f"character {p.index} of {A} matches two characters of {B}")
+            match[p.index] = (q.index, u)
+        partners = [q for q, _ in match.values()]
+        for q in [q for k, q in enumerate(partners) if q in partners[:k]][:1]:
+            raise HolonomyViolation(f"character {q} of {B} matches two characters of {A}")
+        for p, (q, u) in sorted(match.items()):
+            norm = cstar_norm(C, A, B, u)
+            if norm <= 1e-6:
+                raise HolonomyViolation(f"corner generator in Hom({A},{B}) has vanishing norm; "
+                                        f"input is not a valid commutative C*-category")
+            u = u / norm
+            lead = u[np.argmax(np.abs(u) > 1e-8 * np.abs(u).max())]
+            frames[(A, B, label(A, p), label(B, q))] = u * np.conj(lead) / abs(lead)
+        points[(A, B)] = [(label(A, p), label(B, q)) for p, (q, _) in sorted(match.items())]
+        if len(match) != C.dim(A, B):
+            raise HolonomyViolation(f"corner dimensions over Hom({A},{B}) sum to {len(match)}, "
+                                    f"dimension is {C.dim(A, B)}")
+    S = FiniteSpaceoid(C.objects, {A: [label(A, k) for k in range(len(chars[A]))]
+                                   for A in C.objects}, points)
+    frame = [frames[h[:2] + (S.target(h), S.source(h))] for h in S.all_points()]
+    try:
+        nu = [_reference_project(frame[S._point(S.star(h))], C.star(h[0], h[1], frame[p]),
+                                 f"nu{h}") for p, h in enumerate(S.all_points())]
+        c = []
+        for p, q, r in zip(S._p.tolist(), S._q.tolist(), S._r.tolist()):
+            h1, h2 = S._handles[p], S._handles[q]
+            if r == NO_COMPOSITE:
+                S._composites()
+            onto = C.idempotents(h1[0])[:, int(S.target(h1))] if r == DIAGONAL else frame[r]
+            w = C.compose(h1[0], h1[1], h2[1], frame[p], frame[q])
+            c.append(_reference_project(onto, w, f"c{h1},{h2}"))
+    except InvalidSpaceoid as exc:
+        raise HolonomyViolation(str(exc))
+    return S._with_phases(nu, c), frame
+
+
+def _outcome(build, C):
+    try:
+        return build(C)
+    except CstarDualError as exc:
+        return type(exc), str(exc)
+
+
+def assert_matches_reference(C):
+    got, want = _outcome(spectral_spaceoid, C), _outcome(reference_spectrum, C)
+    if isinstance(want[0], type) or isinstance(got[0], type):
+        assert got == want
+        return
+    (S, G), (R, frame) = got, want
+    assert S.base_sets == R.base_sets and S.points == R.points
+    for p, h in enumerate(S.all_points()):
+        assert max_abs(G.frames[h[:2]][h[2]] - frame[p]) <= 1e-12
+    assert max_abs(S._nu - R._nu) <= 1e-12 and max_abs(S._c - R._c) <= 1e-12
+
+
+def perturbed_category(seed, scramble, involution=False):
+    """One composition tensor of a valid category zeroed, or one of its
+    entries shifted by 0.3; with ``involution``, one entry of an off-diagonal
+    involution matrix shifted by 0.3 as well."""
+    cat, _ = gen_category(GenParams(seed=seed, n_objects=3, max_base=3, edge_density=1.0,
+                                    phase_mode="random", scramble=scramble))
+    rng = Xoshiro256StarStar(seed + 0x5EC)
+    comp = {k: v.copy() for k, v in cat.comp.items()}
+    invol = {k: v.copy() for k, v in cat.invol.items()}
+    keys = [k for k, v in sorted(comp.items()) if v.size]
+    T = comp[keys[rng.randrange(len(keys))]].reshape(-1)
+    if rng.randrange(2):
+        T[:] = 0.0
+    else:
+        T[rng.randrange(T.size)] += 0.3
+    if involution:
+        keys = [k for k, v in sorted(invol.items()) if v.size and k[0] != k[1]]
+        J = invol[keys[rng.randrange(len(keys))]].reshape(-1)
+        J[rng.randrange(J.size)] += 0.3
+    return FiniteCStarCategory(cat.objects, dict(cat.dims), comp, invol, cat.units)
+
+
+class TestSpectrumAgainstReference:
+    @pytest.mark.parametrize("seed", range(30))
+    @pytest.mark.parametrize("scramble", ["unitary", "invertible"])
+    def test_generated_categories(self, seed, scramble):
+        cat, _ = gen_category(GenParams(seed=seed, n_objects=2 + seed % 4, max_base=3,
+                                        edge_density=(0.6, 0.8, 1.0)[seed % 3],
+                                        phase_mode="random", scramble=scramble))
+        assert_matches_reference(cat)
+
+    @pytest.mark.parametrize("seed", range(50))
+    @pytest.mark.parametrize("scramble", ["unitary", "invertible"])
+    def test_perturbed_categories(self, seed, scramble):
+        assert_matches_reference(perturbed_category(seed, scramble))
+
+    @pytest.mark.parametrize("seed", range(50))
+    @pytest.mark.parametrize("scramble", ["unitary", "invertible"])
+    def test_perturbed_involutions(self, seed, scramble):
+        # nu and c can both fail here: a failing point is reported before any row
+        assert_matches_reference(perturbed_category(seed, scramble, involution=True))
