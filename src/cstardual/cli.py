@@ -16,7 +16,7 @@ from .cstarcat import validate_category, check_star_functor
 from .errors import CstarDualError, DegenerateFunctor, DiagonalNotSemisimple, SchemaError
 from .functors import sections_category, sigma_on_morphism, spectral_spaceoid
 from .generators import GenParams, gen_category, gen_spaceoid
-from .numlin import Tolerance
+from .numlin import DEFAULT_EPS, Tolerance
 from .spaceoid import (
     invert_morphism,
     morphisms_equal,
@@ -51,31 +51,26 @@ def _emit(args, payload, text_lines):
             print(line)
 
 
-def _tol(args) -> Tolerance:
-    return Tolerance(abs_eps=args.tol, rel_eps=args.tol)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args):
     kind, value = _read_input(args)
-    tol = _tol(args)
     if kind == "category":
-        report = validate_category(value, tol)
+        report = validate_category(value, args.tol)
     elif kind == "spaceoid":
-        report = validate_spaceoid(value, tol)
+        report = validate_spaceoid(value, args.tol)
     elif kind == "spaceoid_morphism":
-        report = validate_morphism(value, tol)
+        report = validate_morphism(value, args.tol)
     elif kind == "star_functor":
-        report = check_star_functor(value, tol)
+        report = check_star_functor(value, args.tol)
     else:  # bimodule: validation happens while assembling the linking category
         from .cstarcat import linking_category, ValidationReport
         from .errors import BimoduleAxiomViolation
         report = ValidationReport()
         try:
-            linking_category(value, tol)
+            linking_category(value, args.tol)
             report.record("bimodule_axioms", True)
         except (BimoduleAxiomViolation, DiagonalNotSemisimple) as exc:
             report.record("bimodule_axioms", False, str(exc))
@@ -86,9 +81,8 @@ def cmd_validate(args):
 
 def cmd_spectrum(args):
     kind, value = _read_input(args)
-    tol = _tol(args)
     if kind == "category":
-        S, G = spectral_spaceoid(value, tol)
+        S, G = spectral_spaceoid(value, args.tol)
         payload = {"spaceoid": jsonio.spaceoid_to_json(S),
                    "gelfand": jsonio.gelfand_to_json(G)}
         lines = [f"spectrum over {len(S.objects)} objects"]
@@ -97,7 +91,7 @@ def cmd_spectrum(args):
         _emit(args, payload, lines)
         return EXIT_OK
     if kind == "star_functor":
-        m = sigma_on_morphism(value, tol)
+        m = sigma_on_morphism(value, args.tol)
         payload = jsonio.morphism_to_json(m)
         _emit(args, payload, ["spectrum morphism computed"])
         return EXIT_OK
@@ -108,7 +102,7 @@ def cmd_sections(args):
     kind, value = _read_input(args)
     if kind != "spaceoid":
         raise SchemaError("$", f"sections expects a spaceoid, got {kind}")
-    cat = sections_category(value, _tol(args))
+    cat = sections_category(value, args.tol)
     payload = {"category": jsonio.category_to_json(cat)}
     dims = ", ".join(f"{A}|{B}:{cat.dim(A, B)}" for A, B in sorted(cat.dims))
     _emit(args, payload, [f"section category dims: {dims}"])
@@ -116,10 +110,9 @@ def cmd_sections(args):
 
 
 def cmd_roundtrip(args):
-    tol = _tol(args)
     if args.gen:
         params = _params_from_args(args)
-        cat, oracle = gen_category(params, tol)
+        cat, oracle = gen_category(params, args.tol)
         S = gen_spaceoid(params)
     else:
         kind, value = _read_input(args)
@@ -133,27 +126,27 @@ def cmd_roundtrip(args):
     lines = []
     ok = True
     if cat is not None:
-        spec = spectral_spaceoid(cat, tol)
-        F, report = duality.check_gelfand_isomorphism(cat, tol, spec)
+        spec = spectral_spaceoid(cat, args.tol)
+        F, report = duality.check_gelfand_isomorphism(cat, args.tol, spec)
         payload["gelfand"] = {"pass": report.ok, "failures": report.to_json()["failures"]}
         lines.append(f"algebra-side transform: {'pass' if report.ok else 'FAIL'}")
         ok = ok and report.ok
         if oracle is not None:
-            iso = spaceoids_isomorphic(spec[0], oracle, tol)
+            iso = spaceoids_isomorphic(spec[0], oracle, args.tol)
             payload["oracle_recovered"] = iso is not None
             lines.append(f"oracle recovery: {'pass' if iso is not None else 'FAIL'}")
             ok = ok and iso is not None
     if S is not None:
-        ev = duality.evaluation_transform(S, tol)
-        rep = validate_morphism(ev, tol)
+        ev = duality.evaluation_transform(S, args.tol)
+        rep = validate_morphism(ev, args.tol)
         inv_ok = False
         if rep.ok:
             inv = invert_morphism(ev)
-            inv_ok = validate_morphism(inv, tol).ok
+            inv_ok = validate_morphism(inv, args.tol).ok
             ident, _ = morphisms_equal(
-                compose_morphisms(ev, inv), identity_morphism(S))
+                compose_morphisms(ev, inv), identity_morphism(S), args.tol.residual())
             inv_ok = inv_ok and ident
-        iso = spaceoids_isomorphic(S, ev.target, tol)  # ev.target: the spectrum of S's sections
+        iso = spaceoids_isomorphic(S, ev.target, args.tol)  # the spectrum of S's sections
         payload["evaluation"] = {"valid": rep.ok, "invertible": inv_ok,
                                  "isomorphic": iso is not None}
         lines.append(
@@ -167,17 +160,16 @@ def cmd_roundtrip(args):
 
 def cmd_naturality(args):
     kind, value = _read_input(args)
-    tol = _tol(args)
     if kind == "star_functor":
-        report = duality.check_naturality_G(value, tol)
+        report = duality.check_naturality_G(value, args.tol)
         side = "algebra"
     elif kind == "spaceoid_morphism":
-        rep = validate_morphism(value, tol)
+        rep = validate_morphism(value, args.tol)
         if not rep.ok:
             payload = {"kind": kind, **rep.to_json()}
             _emit(args, payload, [f"invalid morphism: {rep}"])
             return EXIT_INVALID
-        report = duality.check_naturality_E(value, tol)
+        report = duality.check_naturality_E(value, args.tol)
         side = "spaceoid"
     else:
         raise SchemaError("$", f"naturality expects a functor or morphism, got {kind}")
@@ -192,9 +184,8 @@ def cmd_link(args):
     kind, value = _read_input(args)
     if kind != "bimodule":
         raise SchemaError("$", f"link expects a bimodule, got {kind}")
-    tol = _tol(args)
-    spec = duality.bimodule_spectrum(value, tol)
-    dev = duality.check_bimodule_isomorphism(value, spec, tol)
+    spec = duality.bimodule_spectrum(value, args.tol)
+    dev = duality.check_bimodule_isomorphism(value, spec, args.tol)
     payload = spec.to_json()
     payload["iso"] = jsonio.array_to_json(spec.iso)
     payload["inner_product_deviation"] = dev
@@ -251,8 +242,8 @@ def build_parser():
         description="Spectra and sections of finite commutative C*-categories")
     parser.add_argument("--format", choices=("json", "text"), default="text",
                         help="output format (text summaries are not stable)")
-    parser.add_argument("--tol", type=float, default=1e-9,
-                        help="absolute/relative tolerance")
+    parser.add_argument("--tol", type=float, default=DEFAULT_EPS,
+                        help="absolute/relative tolerance; every threshold derives from it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, help_text):
@@ -294,6 +285,11 @@ def _add_gen_params(p):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        args.tol = Tolerance(args.tol, args.tol)
+    except ValueError as exc:
+        print(f"error: --tol: {exc}", file=sys.stderr)
+        return EXIT_IO
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit

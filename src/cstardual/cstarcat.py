@@ -20,11 +20,12 @@ from .errors import (
     CornerDimensionExceedsOne,
     DiagonalNotSemisimple,
     HolonomyViolation,
+    NoConvergence,
+    NotCommuting,
+    NotHermitian,
+    NotNormal,
 )
 from .numlin import DEFAULT_TOL, Tolerance, hermitian_eig, max_abs, simultaneous_diag
-from .rng import Xoshiro256StarStar
-
-_FALLBACK_SEED = 0xA1C0DE
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +212,7 @@ def _char_sort_key(values):
 def _finish_characters(cat, A, omega, tol):
     """Validate raw character rows and return them canonically ordered."""
     d = cat.dim(A, A)
-    scale = 1.0 + max_abs(omega)
-    check_tol = 1e3 * tol.abs_eps * scale * scale
+    check_tol = tol.character(1.0 + max_abs(omega))
     T = cat.comp[(A, A, A)]
     lhs = np.einsum("ijm,km->kij", T, omega)
     rhs = np.einsum("ki,kj->kij", omega, omega)
@@ -230,56 +230,31 @@ def _finish_characters(cat, A, omega, tol):
     return [DiagonalCharacter(A, i, omega[rows[i]].copy()) for i in range(d)]
 
 
-def _characters_by_gram(cat, A, tol):
+def _diagonal_characters(cat, A, tol):
     """Characters through the canonical inner product <x,y> = phi(x* y) with
-    phi = tr o L.  In a *-orthonormal basis the left-multiplication operators
-    become normal, so the family is handled by simultaneous_diag."""
+    phi = tr o L, faithful and positive on the diagonal of every commutative
+    C*-category.  In a *-orthonormal basis the left-multiplication operators
+    become normal, so the family is handled by simultaneous_diag; where that
+    fails, the diagonal is not the algebra of a valid input."""
+    if cat.dim(A, A) == 0:
+        raise DiagonalNotSemisimple(f"diagonal at {A} is zero-dimensional")
     T = cat.comp[(A, A, A)]
     lmats = np.transpose(T, (0, 2, 1))  # lmats[i] is the matrix of x -> b_i . x
     phi = np.einsum("ijj->i", T)
     gram = np.einsum("ai,ijk,k->aj", cat.invol[(A, A)].T, T, phi, optimize=True)
-    if max_abs(gram - gram.conj().T) > 1e3 * tol.abs_eps * (1.0 + max_abs(gram)):
-        raise DiagonalNotSemisimple(f"canonical form on {A} is not Hermitian")
-    evals, V = hermitian_eig(gram, tol)
-    if evals[0] <= (tol.rel_eps * evals[-1] + tol.abs_eps):
-        raise DiagonalNotSemisimple(f"canonical form on {A} is degenerate")
-    root = np.sqrt(evals)
-    C = (root[:, None] * V.conj().T)
-    Cinv = V * (1.0 / root)[None, :]
-    tilde = C @ lmats @ Cinv
-    U = simultaneous_diag(tilde, tol)
+    try:
+        evals, V = hermitian_eig(gram, tol)
+        if evals[0] <= tol.rank(evals[-1]):
+            raise DiagonalNotSemisimple(f"canonical form on {A} is not positive definite")
+        root = np.sqrt(evals)
+        C = (root[:, None] * V.conj().T)
+        Cinv = V * (1.0 / root)[None, :]
+        tilde = C @ lmats @ Cinv
+        U = simultaneous_diag(tilde, tol)
+    except (NotHermitian, NotNormal, NotCommuting, NoConvergence) as exc:
+        raise DiagonalNotSemisimple(f"no joint eigenbasis for the diagonal at {A}: {exc}")
     omega = np.einsum("ak,iab,bk->ki", np.conj(U), tilde, U, optimize=True)
     return _finish_characters(cat, A, omega, tol)
-
-
-def _characters_by_similarity(cat, A, tol):
-    """Fallback for algebras that are semisimple but not *-consistent:
-    joint eigenvalues of the left-multiplication family through a random
-    element's (possibly non-unitary) eigenbasis."""
-    d = cat.dim(A, A)
-    lmats = np.transpose(cat.comp[(A, A, A)], (0, 2, 1))  # x -> b_i . x
-    scales = 1.0 + np.max(np.abs(lmats), axis=(1, 2), initial=0.0)
-    rng = Xoshiro256StarStar(_FALLBACK_SEED)
-    for _ in range(8):
-        coeffs = np.array([rng.uniform() * 2 - 1 for _ in range(d)])
-        _, V = np.linalg.eig(np.tensordot(coeffs, lmats, 1))
-        if np.linalg.cond(V) > 1e8:
-            continue
-        D = np.linalg.inv(V) @ lmats @ V
-        diag = np.diagonal(D, axis1=1, axis2=2)
-        off = np.abs(D - diag[:, :, None] * np.eye(d))
-        if np.all(np.max(off, axis=(1, 2), initial=0.0) <= 1e-6 * scales):
-            return _finish_characters(cat, A, diag.T, tol)
-    raise DiagonalNotSemisimple(f"no joint eigenbasis for the diagonal at {A}")
-
-
-def _diagonal_characters(cat, A, tol):
-    if cat.dim(A, A) == 0:  # neither path applies to the zero algebra
-        raise DiagonalNotSemisimple(f"diagonal at {A} is zero-dimensional")
-    try:
-        return _characters_by_gram(cat, A, tol)
-    except DiagonalNotSemisimple:
-        return _characters_by_similarity(cat, A, tol)
 
 
 def characters_of_diagonal(cat: FiniteCStarCategory, A, tol: Tolerance = DEFAULT_TOL):
@@ -302,7 +277,7 @@ def corner_projection_matrix(cat, A, B, p: DiagonalCharacter, q: DiagonalCharact
 
 def _corner_zero_tol(cat, A, B, tol):
     """Column norm up to which a corner projection on Hom(A,B) counts as zero."""
-    return 1e-6 * (1.0 + max_abs(cat.idempotents(A, tol)) * max_abs(cat.idempotents(B, tol)))
+    return tol.residual(1.0 + max_abs(cat.idempotents(A, tol)) * max_abs(cat.idempotents(B, tol)))
 
 
 def _corner_generators(K, zero_tol):
@@ -400,13 +375,6 @@ def cstar_norm(cat, A, B, x, tol: Tolerance = DEFAULT_TOL) -> float:
 # category validation
 # ---------------------------------------------------------------------------
 
-def _axiom_tol(tol, *scales):
-    s = 1.0
-    for x in scales:
-        s = max(s, x)
-    return 1e2 * tol.abs_eps * s * s
-
-
 def validate_category(cat: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
     """Exhaustive axiom sweep on all basis tuples.
 
@@ -418,7 +386,7 @@ def validate_category(cat: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL) ->
     objs = cat.objects
     tmax = max([1.0] + [max_abs(T) for T in cat.comp.values()])
     jmax = max([1.0] + [max_abs(J) for J in cat.invol.values()])
-    atol = _axiom_tol(tol, tmax, jmax)
+    atol = tol.axiom(tmax, jmax)
 
     for A, B, C, D in product(objs, repeat=4):
         if cat.dim(A, B) * cat.dim(B, C) * cat.dim(C, D) == 0:
@@ -475,7 +443,7 @@ def validate_category(cat: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL) ->
             continue
         # characters of Hom(B,B) on x* . x, one column per basis element x
         vals = cat.character_matrix(B, tol) @ _squares(cat, A, B, np.eye(d))
-        bound = 1e-7 * (1.0 + np.max(np.abs(vals), axis=0))
+        bound = tol.positivity(1.0 + np.max(np.abs(vals), axis=0))
         neg = np.min(vals.real, axis=0)
         imag = np.max(np.abs(vals.imag), axis=0)
         report.record("positivity", (neg >= -bound) & (imag <= bound),
@@ -596,7 +564,7 @@ def check_star_functor(F: StarFunctor, tol: Tolerance = DEFAULT_TOL) -> Validati
     hmax = max([1.0] + [max_abs(H) for H in F.hom_maps.values()])
     tmax = max([1.0] + [max_abs(T) for T in src.comp.values()]
                + [max_abs(T) for T in tgt.comp.values()])
-    atol = _axiom_tol(tol, hmax, tmax)
+    atol = tol.axiom(hmax, tmax)
 
     for A in src.objects:
         dev = max_abs(F.apply(A, A, src.unit(A)) - tgt.unit(F.obj_map[A]))
@@ -641,7 +609,7 @@ def check_non_degenerate(F: StarFunctor, tol: Tolerance = DEFAULT_TOL):
         H = F.hom_maps[(A, B)]
         for p_idx, (q_idx, _, functional) in matching.items():
             pulled = functional @ H
-            if max_abs(pulled) <= 1e-6 * (1.0 + max_abs(functional)):
+            if max_abs(pulled) <= tol.residual(1.0 + max_abs(functional)):
                 witness = _witness_class(tgt, {A2: p_idx, B2: q_idx}, tol)
                 return False, (witness, A, B)
     return True, None
@@ -777,7 +745,7 @@ def _check_bimodule_axioms(M: HilbertBimodule, cat, tol):
     A, B = LINK_LEFT, LINK_RIGHT
     scale = 1.0 + max(max_abs(M.ipA), max_abs(M.ipB), max_abs(M.left_action),
                       max_abs(M.right_action))
-    atol = _axiom_tol(tol, scale)
+    atol = tol.axiom(scale)
     # [i, j, k] holds <x_i,x_j>_A . x_k and x_i . <x_j,x_k>_B
     lhs = np.einsum("ija,akl->ijkl", M.ipA, M.left_action, optimize=True)
     rhs = np.einsum("ibl,jkb->ijkl", M.right_action, M.ipB, optimize=True)
@@ -806,6 +774,6 @@ def _check_bimodule_axioms(M: HilbertBimodule, cat, tol):
             W = np.einsum("ijd,d->ij", ip, omega[c])
             H = (W + W.conj().T) / 2
             evals, _ = hermitian_eig(H, tol)
-            if evals.size and evals[0] < -1e-7 * (1.0 + evals[-1]):
+            if evals.size and evals[0] < -tol.positivity(1.0 + evals[-1]):
                 raise BimoduleAxiomViolation(
                     f"{lbl} inner product not positive at character {c}")

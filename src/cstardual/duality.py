@@ -38,20 +38,18 @@ from .spaceoid import (
     validate_spaceoid,
 )
 
-NAT_TOL = 1e-6  # shared budget for multi-stage pipelines
-
 
 @dataclass
 class NaturalityReport:
-    """Maximum deviation of a naturality square plus per-element witnesses."""
+    """Maximum deviation of a naturality square, the bound judged against, and witnesses."""
 
     square_identity: float = 0.0
     witnesses: list = field(default_factory=list)
-    scale: float = 1.0
+    tolerance: float = DEFAULT_TOL.residual()
 
     @property
     def ok(self) -> bool:
-        return self.square_identity <= NAT_TOL * self.scale
+        return self.square_identity <= self.tolerance
 
     def record(self, label, deviation):
         deviation = float(deviation)
@@ -62,7 +60,7 @@ class NaturalityReport:
         return {
             "pass": bool(self.ok),
             "max_deviation": self.square_identity,
-            "tolerance": NAT_TOL * self.scale,
+            "tolerance": self.tolerance,
             "witnesses": [
                 {"element": str(lbl), "deviation": dev} for lbl, dev in self.witnesses
             ],
@@ -116,7 +114,7 @@ def check_gelfand_isomorphism(C: FiniteCStarCategory, tol: Tolerance = DEFAULT_T
             continue
         n_src = _cstar_norms(C, A, B, np.eye(d), tol)
         dev = np.abs(n_src - _cstar_norms(F.target, A, B, H, tol))
-        report.record("isometric", dev <= NAT_TOL * (1.0 + n_src),
+        report.record("isometric", dev <= tol.residual(1.0 + n_src),
                       lambda i: f"({A},{B}) basis {i}", dev)
     return F, report
 
@@ -151,7 +149,7 @@ def evaluation_transform(S: FiniteSpaceoid, tol: Tolerance = DEFAULT_TOL,
             values[i] = 1.0
             devs = [max_abs(row - values) for row in omega]
             k = int(np.argmin(devs))
-            if devs[k] > NAT_TOL:
+            if devs[k] > tol.residual():
                 raise InvalidCategory(
                     f"no spectrum character matches evaluation at ({A},{x})")
             bm[x] = G.point_label(A, k)
@@ -182,14 +180,11 @@ def check_naturality_G(F: StarFunctor, tol: Tolerance = DEFAULT_TOL) -> Naturali
     gamma = gamma_on_morphism(sm, tol, cats=(g1.target, g2.target), check=False)
     left = g1.then(gamma)
     right = F.then(g2)
-    report = NaturalityReport()
-    scale = 1.0
-    for A, B in C1.hom_pairs():
-        L = left.hom_maps[(A, B)]
-        R = right.hom_maps[(A, B)]
-        scale = max(scale, max_abs(L), max_abs(R))
+    homs = {key: (left.hom_maps[key], right.hom_maps[key]) for key in C1.hom_pairs()}
+    scale = max([1.0] + [max(max_abs(L), max_abs(R)) for L, R in homs.values()])
+    report = NaturalityReport(tolerance=tol.residual(scale))
+    for (A, B), (L, R) in homs.items():
         report.record(f"({A},{B})", max_abs(L - R))
-    report.scale = scale
     return report
 
 
@@ -207,7 +202,7 @@ def check_naturality_E(m: SpaceoidMorphism, tol: Tolerance = DEFAULT_TOL) -> Nat
     sm = sigma_on_morphism(gamma, tol, spectra=(spec2, spec1))
     left = compose_morphisms(ev1, sm)
     right = compose_morphisms(m, ev2)
-    report = NaturalityReport()
+    report = NaturalityReport(tolerance=tol.residual())
     if left.obj_map != right.obj_map or left.base_maps != right.base_maps:
         report.record("point maps differ", float("inf"))
         return report

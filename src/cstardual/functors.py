@@ -30,8 +30,6 @@ from .numlin import DEFAULT_TOL, Tolerance, max_abs
 from .spaceoid import (DIAGONAL, NO_COMPOSITE, FiniteSpaceoid, SpaceoidMorphism, _runs,
                        validate_morphism, validate_spaceoid)
 
-_MATCH_TOL = 1e-6  # character matching across two diagonalizations
-
 
 # ---------------------------------------------------------------------------
 # section functor, on objects
@@ -167,13 +165,13 @@ class GelfandData:
         return f"{k:0{width}d}"
 
 
-def _project(onto, W):
+def _project(onto, W, tol):
     """Coefficients of the rows of W against the rows of ``onto``, each a
     one-dimensional frame, with the residuals and the bounds under which they
     must stay for the input to be a valid commutative category."""
     coeff = np.sum(np.conj(onto) * W, axis=1) / np.sum(np.conj(onto) * onto, axis=1)
     residual = np.max(np.abs(W - coeff[:, None] * onto), axis=1, initial=0.0)
-    return coeff, residual, 1e-6 * (1.0 + np.max(np.abs(W), axis=1, initial=0.0))
+    return coeff, residual, tol.residual(1.0 + np.max(np.abs(W), axis=1, initial=0.0))
 
 
 def spectral_spaceoid(C: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL):
@@ -201,7 +199,7 @@ def spectral_spaceoid(C: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL):
         gens[(A, B)] = np.array([matching[p][1] for p in ps], dtype=complex).reshape(shape)
         funcs[(A, B)] = np.array([matching[p][2] for p in ps], dtype=complex).reshape(shape)
         norms[(A, B)] = _cstar_norms(C, A, B, gens[(A, B)].T, tol)
-        if np.any(norms[(A, B)] <= 1e-6):
+        if np.any(norms[(A, B)] <= tol.residual()):
             raise HolonomyViolation(
                 f"corner generator in Hom({A},{B}) has vanishing norm; "
                 f"input is not a valid commutative C*-category")
@@ -223,7 +221,7 @@ def spectral_spaceoid(C: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL):
         gen[at, :d], functional[at, :d], scale[at] = gens[key], funcs[key], norms[key]
     U = gen / scale[:, None]
     mags = np.abs(U)
-    first = np.argmax(mags > 1e-8 * np.max(mags, axis=1, keepdims=True), axis=1)
+    first = np.argmax(mags > tol.phase(10) * np.max(mags, axis=1, keepdims=True), axis=1)
     lead = U[np.arange(N), first]
     frame = U * (np.conj(lead) / np.abs(lead))[:, None]
     # frame = s . gen with |gen| = 1, so frame* K / |frame|^2 = gen* K / s
@@ -237,7 +235,7 @@ def spectral_spaceoid(C: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL):
         W[at, :C.dim(B, A)] = np.conj(gd.frames[(A, B)]) @ C.invol[(A, B)].T
     nu, (nu_res, nu_bound) = np.zeros(N, dtype=complex), np.zeros((2, N))
     has = np.flatnonzero(star >= 0)
-    nu[has], nu_res[has], nu_bound[has] = _project(frame[star[has]], W[has])
+    nu[has], nu_res[has], nu_bound[has] = _project(frame[star[has]], W[has], tol)
 
     # c: frame products, one contraction per Hom triple over its pair-table
     # rows, against the frame of the composite point or, on the diagonal,
@@ -256,7 +254,7 @@ def spectral_spaceoid(C: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL):
         idem[a, :C.dim(A, A), :C.dim(A, A)] = C.idempotents(A, tol).T
     onto = np.where((R >= 0)[:, None], frame[np.maximum(R, 0)], idem[S._tobj[P], S._tlab[P]])
     c, (c_res, c_bound) = np.zeros(len(P), dtype=complex), np.zeros((2, len(P)))
-    c[live], c_res[live], c_bound[live] = _project(onto[live], W[live])
+    c[live], c_res[live], c_bound[live] = _project(onto[live], W[live], tol)
 
     h = S._handles
     try:
@@ -278,10 +276,10 @@ def spectral_spaceoid(C: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL):
 # spectrum functor, on morphisms (contravariant)
 # ---------------------------------------------------------------------------
 
-def _match_character(omega_rows, values, context):
+def _match_character(omega_rows, values, context, tol):
     devs = [max_abs(row - values) for row in omega_rows]
     best = int(np.argmin(devs))
-    if devs[best] > _MATCH_TOL * (1.0 + max_abs(values)):
+    if devs[best] > tol.residual(1.0 + max_abs(values)):
         raise InvalidMorphism(
             f"no character matches the pulled-back functional at {context} "
             f"(best deviation {devs[best]:g})")
@@ -317,7 +315,7 @@ def sigma_on_morphism(F: StarFunctor, tol: Tolerance = DEFAULT_TOL,
         bm = {}
         for k, row in enumerate(G2.diag[A2]):
             pull = row @ F.hom_maps[(A, A)]
-            idx = _match_character(omega_src, pull, f"({A2}, char {k})")
+            idx = _match_character(omega_src, pull, f"({A2}, char {k})", tol)
             bm[G2.point_label(A2, k)] = G1.point_label(A, idx)
         base_maps[A2] = bm
 
@@ -332,7 +330,8 @@ def sigma_on_morphism(F: StarFunctor, tol: Tolerance = DEFAULT_TOL,
         left, right = _corner_actions(tgt, A2, B2, tol)
         Y = G1.frames[(A, B)][S1._local[images[ps]]] @ F.hom_maps[(A, B)].T
         KY = right[S2._slab[ps]] @ (left[S2._tlab[ps]] @ Y[:, :, None])
-        scalars[ps], res[ps], bound[ps] = _project(G2.frames[(A2, B2)][S2._local[ps]], KY[..., 0])
+        scalars[ps], res[ps], bound[ps] = _project(
+            G2.frames[(A2, B2)][S2._local[ps]], KY[..., 0], tol)
     h = S2._handles
     for k in np.flatnonzero((images < 0) | (res > bound))[:1]:
         m.point_map(h[k])  # raises where the point has no image

@@ -154,6 +154,11 @@ def scramble_category(cat: FiniteCStarCategory, rng, mode: str):
     transforms = {}
     for A, B in sorted(cat.hom_pairs()):
         transforms[(A, B)] = make(rng, cat.dim(A, B))
+    return _transport_category(cat, transforms), transforms
+
+
+def _transport_category(cat: FiniteCStarCategory, transforms):
+    """The category in the bases given per Hom-set by the columns of ``transforms``."""
     inv = {key: np.linalg.inv(T) if T.size else T for key, T in transforms.items()}
     comp = {}
     for A, B, C in product(cat.objects, repeat=3):
@@ -165,8 +170,7 @@ def scramble_category(cat: FiniteCStarCategory, rng, mode: str):
     for A, B in cat.hom_pairs():
         invol[(A, B)] = inv[(B, A)] @ cat.invol[(A, B)] @ np.conj(transforms[(A, B)])
     units = {A: inv[(A, A)] @ cat.unit(A) for A in cat.objects}
-    out = FiniteCStarCategory(cat.objects, dict(cat.dims), comp, invol, units)
-    return out, transforms
+    return FiniteCStarCategory(cat.objects, dict(cat.dims), comp, invol, units)
 
 
 def gen_category(params: GenParams, tol: Tolerance = DEFAULT_TOL):
@@ -265,10 +269,6 @@ def gen_morphism_pair(params: GenParams):
     S2, m2 = _gauge_and_morphism(S3, rng, params.phase_mode)
     S1, m1 = _gauge_and_morphism(S2, rng, params.phase_mode)
     return m1, m2
-
-
-def gen_morphism(params: GenParams) -> SpaceoidMorphism:
-    return gen_morphism_pair(params)[0]
 
 
 def gen_functor_pair(params: GenParams, tol: Tolerance = DEFAULT_TOL):

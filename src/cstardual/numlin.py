@@ -9,6 +9,7 @@ degenerate eigenvalue clusters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,23 +18,63 @@ from .errors import NoConvergence, NotCommuting, NotHermitian, NotNormal, NotSqu
 from .rng import Xoshiro256StarStar
 
 _SIMDIAG_SEED = 0x51DE0C1E
-_CLUSTER_REL_GAP = 1e-6
+DEFAULT_EPS = 1e-9
 
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute and relative comparison thresholds.
+    """Every numerical threshold, derived from ``abs_eps`` and ``rel_eps``
+    (finite and positive; the CLI's ``--tol`` sets both).
 
-    Defaults leave ample double-precision headroom for the exact-rational-like
-    inputs this library works with.
+    One method per kind of decision takes the magnitude judged and returns the
+    largest deviation allowed.  Former fixed constants carry ``r = abs_eps /
+    DEFAULT_EPS``, exactly 1 at the default, so each default [in brackets] is
+    bit for bit the constant it replaced.
+
+    - ``axiom(*s) = 1e2 abs_eps m^2``, ``m = max(1, *s)`` [1e-7 m^2]: identities
+      of structure tensors with largest entries ``s``.
+    - ``character(s) = 1e3 abs_eps s^2``, ``s = 1 + max|omega|`` [1e-6 s^2]:
+      characters are multiplicative and unital; closer than ten times it, equal.
+    - ``kernel(*s) = 1e2 abs_eps prod(s)``: Hermitian and diagonalized
+      (``max(1, |M|)``), normal (``s^2``) and commuting (``s_i, s_j``).
+    - ``rank(top) = rel_eps top + abs_eps``: singular and Gram eigenvalues count.
+    - ``residual(s) = 1e-6 r s``: corner, projection, norm and naturality
+      residuals, pulled-back functionals, character matches, eigenvalue
+      clusters, isometry and round trips.
+    - ``positivity(s) = 1e-7 r s``: the negative or imaginary part of a positive.
+    - ``phase(s) = abs_eps s``: unimodular (``s = 1``); identities between phase
+      products and a frame's lead coordinate (10); gauge triviality (100).
     """
 
-    abs_eps: float = 1e-9
-    rel_eps: float = 1e-9
+    abs_eps: float = DEFAULT_EPS
+    rel_eps: float = DEFAULT_EPS
 
     def __post_init__(self):
-        if not (self.abs_eps > 0 and self.rel_eps > 0):
-            raise ValueError("tolerances must be strictly positive")
+        if not all(math.isfinite(x) and x > 0 for x in (self.abs_eps, self.rel_eps)):
+            raise ValueError(f"tolerances must be finite and positive, got "
+                             f"abs_eps={self.abs_eps}, rel_eps={self.rel_eps}")
+
+    def axiom(self, *scales):
+        m = max((1.0, *scales))
+        return 1e2 * self.abs_eps * m * m
+
+    def character(self, scale):
+        return 1e3 * self.abs_eps * scale * scale
+
+    def kernel(self, *scales):
+        return math.prod(scales, start=100.0 * self.abs_eps)
+
+    def rank(self, top):
+        return self.rel_eps * top + self.abs_eps
+
+    def residual(self, scale=1.0):
+        return 1e-6 * (self.abs_eps / DEFAULT_EPS) * scale
+
+    def positivity(self, scale=1.0):
+        return 1e-7 * (self.abs_eps / DEFAULT_EPS) * scale
+
+    def phase(self, scale=1.0):
+        return self.abs_eps * scale
 
 
 DEFAULT_TOL = Tolerance()
@@ -56,7 +97,7 @@ def hermitian_eig(M, tol: Tolerance = DEFAULT_TOL):
 
     Parameters
     ----------
-    M : (n, n) array_like, Hermitian within ``tol.abs_eps``.
+    M : (n, n) array_like, Hermitian within ``tol.kernel(max(1, |M|))``.
     tol : Tolerance
 
     Returns
@@ -65,8 +106,9 @@ def hermitian_eig(M, tol: Tolerance = DEFAULT_TOL):
     U : (n, n) complex ndarray, unitary, ``M ~ U @ diag(eigenvalues) @ U*``.
     """
     A = _as_square(M)
-    if max_abs(A - A.conj().T) > tol.abs_eps:
-        raise NotHermitian("matrix is not Hermitian within abs_eps")
+    dev = max_abs(A - A.conj().T)
+    if dev > tol.kernel(max(1.0, max_abs(A))):
+        raise NotHermitian(f"matrix is not Hermitian (deviation {dev:g})")
     try:
         evals, U = np.linalg.eigh((A + A.conj().T) / 2.0)
     except np.linalg.LinAlgError as exc:
@@ -75,8 +117,7 @@ def hermitian_eig(M, tol: Tolerance = DEFAULT_TOL):
 
 
 def numeric_rank(M, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Number of singular values (LAPACK ``svd``) above
-    ``rel_eps * smax + abs_eps``."""
+    """Number of singular values (LAPACK ``svd``) above ``tol.rank(smax)``."""
     A = np.asarray(M, dtype=complex)
     if A.size == 0:
         return 0
@@ -84,7 +125,7 @@ def numeric_rank(M, tol: Tolerance = DEFAULT_TOL) -> int:
         sing = np.linalg.svd(A, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"svd did not converge: {exc}")
-    return int(np.sum(sing > tol.rel_eps * sing[0] + tol.abs_eps))
+    return int(np.sum(sing > tol.rank(sing[0])))
 
 
 def _check_family(Ms, tol: Tolerance):
@@ -98,12 +139,12 @@ def _check_family(Ms, tol: Tolerance):
     scales = [max(1.0, max_abs(M)) for M in mats]
     for i, M in enumerate(mats):
         dev = max_abs(M @ M.conj().T - M.conj().T @ M)
-        if dev > 100.0 * tol.abs_eps * scales[i] ** 2:
+        if dev > tol.kernel(scales[i] ** 2):
             raise NotNormal(f"matrix {i} is not normal (deviation {dev:g})")
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             dev = max_abs(mats[i] @ mats[j] - mats[j] @ mats[i])
-            if dev > 100.0 * tol.abs_eps * scales[i] * scales[j]:
+            if dev > tol.kernel(scales[i], scales[j]):
                 raise NotCommuting(f"matrices {i},{j} do not commute (deviation {dev:g})")
     return mats, n
 
@@ -128,7 +169,7 @@ def _split(V, parts, rng, tol, depth):
     for P in projected:
         ev = np.real(np.diag(P))
         spreads.append(max_abs(P - np.diag(ev)) + (np.ptp(ev) if ev.size else 0.0))
-    if all(s <= _CLUSTER_REL_GAP * max(1.0, max_abs(P)) for s, P in zip(spreads, parts)):
+    if all(s <= tol.residual(max(1.0, max_abs(P))) for s, P in zip(spreads, parts)):
         return V  # joint eigenspace: any orthonormal basis will do
     H = np.zeros((k, k), dtype=complex)
     for P in projected:
@@ -136,7 +177,7 @@ def _split(V, parts, rng, tol, depth):
     H = (H + H.conj().T) / 2.0
     evals, W = hermitian_eig(H, tol)
     V = V @ W
-    gap = _CLUSTER_REL_GAP * max(1.0, max_abs(H))
+    gap = tol.residual(max(1.0, max_abs(H)))
     blocks, start = [], 0
     for i in range(1, k + 1):
         if i == k or evals[i] - evals[i - 1] > gap:
@@ -156,9 +197,9 @@ def simultaneous_diag(Ms, tol: Tolerance = DEFAULT_TOL):
     """Joint unitary diagonalizer of pairwise-commuting normal matrices.
 
     Returns a unitary ``U`` such that every ``U* M U`` is diagonal within
-    ``100 * abs_eps`` (scaled by the matrix magnitude).  Raises NotCommuting /
-    NotNormal when the preconditions fail and NoConvergence when the seeded
-    random-combination recursion cannot separate the family.
+    ``tol.kernel(max(1, |M|))``.  Raises NotCommuting / NotNormal when the
+    preconditions fail and NoConvergence when the seeded random-combination
+    recursion cannot separate the family.
     """
     mats, n = _check_family(Ms, tol)
     if n == 0:
@@ -170,7 +211,7 @@ def simultaneous_diag(Ms, tol: Tolerance = DEFAULT_TOL):
     for i, M in enumerate(mats):
         D = U.conj().T @ M @ U
         off = max_abs(D - np.diag(np.diag(D)))
-        if off > 100.0 * tol.abs_eps * max(1.0, max_abs(M)):
+        if off > tol.kernel(max(1.0, max_abs(M))):
             raise NoConvergence(f"matrix {i} not diagonalized (off-diagonal {off:g})")
         tuples.append(np.diag(D))
     # canonical column order: lexicographic in the joint eigenvalue tuples,

@@ -34,7 +34,6 @@ from .cstarcat import ValidationReport
 from .errors import EndpointMismatch, InvalidMorphism, InvalidSpaceoid
 from .numlin import DEFAULT_TOL, Tolerance
 
-_PHASE_TOL = 1e-9
 DIAGONAL = -1      # pair-table composite: a unit on the diagonal
 NO_COMPOSITE = -2  # pair-table composite: closure fails
 
@@ -270,7 +269,6 @@ class Component:
 def validate_spaceoid(S: FiniteSpaceoid, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
     """Exhaustive check of the spaceoid invariants; failures carry witnesses."""
     report = ValidationReport()
-    ptol = max(_PHASE_TOL, tol.abs_eps)
     h, P, Q, R = S._handles, S._p, S._q, S._r
 
     for A in S.objects:
@@ -294,12 +292,12 @@ def validate_spaceoid(S: FiniteSpaceoid, tol: Tolerance = DEFAULT_TOL) -> Valida
     closed = np.where(R == DIAGONAL, S._slab[Q] == S._tlab[P], R >= 0)
     report.record("closure", closed, lambda k: f"{h[P[k]]}.{h[Q[k]]}")
     dev = np.abs(np.abs(S._nu) - 1.0)
-    report.record("nu_unimodular", dev <= ptol, lambda k: str(h[k]), dev)
+    report.record("nu_unimodular", dev <= tol.phase(), lambda k: str(h[k]), dev)
     dev = np.abs(np.abs(S._c) - 1.0)
-    report.record("c_unimodular", dev <= ptol, lambda k: f"{h[P[k]]},{h[Q[k]]}", dev)
+    report.record("c_unimodular", dev <= tol.phase(), lambda k: f"{h[P[k]]},{h[Q[k]]}", dev)
 
     if closed.all() and inverse.all():
-        _check_cocycle(S, report, ptol)
+        _check_cocycle(S, report, tol.phase(10))
         try:
             S.components()
             report.record("holonomy_trivial", True, "")
@@ -314,11 +312,11 @@ def validate_spaceoid(S: FiniteSpaceoid, tol: Tolerance = DEFAULT_TOL) -> Valida
     return report
 
 
-def _check_cocycle(S, report, ptol):
+def _check_cocycle(S, report, bound):
     h, nu, c, star = S._handles, S._nu, S._c, S._star
     P, Q, R = S._p, S._q, S._r
     dev = np.abs(nu[star] - nu)
-    report.record("nu_symmetric", dev <= 10 * ptol, lambda k: str(h[k]), dev)
+    report.record("nu_symmetric", dev <= bound, lambda k: str(h[k]), dev)
 
     # a pair (p, p*) landing on the diagonal unit: positivity pins c(p, p*);
     # a pair with a composite: the involution reverses the product
@@ -328,7 +326,7 @@ def _check_cocycle(S, report, ptol):
     dev = np.where(unit, np.abs(c - np.conj(nu[P])), np.abs(lhs - rhs))
     rows = np.flatnonzero(~unit | (Q == star[P]))
     report.record(np.where(unit, "c_matches_nu_on_units", "involution_antimultiplicative")[rows],
-                  dev[rows] <= 10 * ptol, lambda k: f"{h[P[rows[k]]]},{h[Q[rows[k]]]}",
+                  dev[rows] <= bound, lambda k: f"{h[P[rows[k]]]},{h[Q[rows[k]]]}",
                   dev[rows])
 
     # triples: each row (h1, h2) joined with the rows (h2, h3), and
@@ -338,7 +336,7 @@ def _check_cocycle(S, report, ptol):
     lhs = c[r1] * np.where(h12 >= 0, c[S._row(h12, Q[r2])], 1.0)
     rhs = c[r2] * np.where(h23 >= 0, c[S._row(P[r1], h23)], 1.0)
     dev = np.abs(lhs - rhs)
-    report.record("cocycle", dev <= 10 * ptol,
+    report.record("cocycle", dev <= bound,
                   lambda k: f"{h[P[r1[k]]]},{h[Q[r1[k]]]},{h[Q[r2[k]]]}", dev)
 
 
@@ -390,9 +388,9 @@ def gauge_fix(S: FiniteSpaceoid):
     return _gauge(S, lam), dict(zip(S._handles, lam.tolist()))
 
 
-def is_gauge_trivial(S: FiniteSpaceoid, tol=_PHASE_TOL) -> bool:
-    return bool(np.all(np.abs(S._nu - 1.0) <= 100 * tol)
-                and np.all(np.abs(S._c - 1.0) <= 100 * tol))
+def is_gauge_trivial(S: FiniteSpaceoid, tol=DEFAULT_TOL.phase(100)) -> bool:
+    """Every stored phase is 1 within ``tol``."""
+    return bool(np.all(np.abs(S._nu - 1.0) <= tol) and np.all(np.abs(S._c - 1.0) <= tol))
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +464,6 @@ def validate_morphism(m: SpaceoidMorphism, tol: Tolerance = DEFAULT_TOL) -> Vali
     """Groupoid-functor and fiberwise *-functor conditions, plus the two
     at-infinity conditions that hold vacuously over finite bases."""
     report = ValidationReport()
-    ptol = max(_PHASE_TOL, tol.abs_eps)
     src, tgt = m.source, m.target
 
     ok = sorted(m.obj_map.keys()) == sorted(src.objects) and \
@@ -496,12 +493,12 @@ def validate_morphism(m: SpaceoidMorphism, tol: Tolerance = DEFAULT_TOL) -> Vali
                     np.abs(tgt._nu[images] * scalars[star] - np.conj(scalars) * src._nu)],
                    axis=1).ravel()
     report.record(np.tile(["scalar_unimodular", "scalar_involution"], len(h)),
-                  dev <= 10 * ptol, lambda k: str(h[k // 2]), dev)
+                  dev <= tol.phase(10), lambda k: str(h[k // 2]), dev)
 
     lhs = np.where(R >= 0, scalars[R], 1.0) * tgt._c[tgt._row(images[P], images[Q])]
     rhs = scalars[P] * scalars[Q] * src._c
     dev = np.abs(lhs - rhs)
-    report.record("scalar_multiplicative", dev <= 10 * ptol,
+    report.record("scalar_multiplicative", dev <= tol.phase(10),
                   lambda k: f"{h[P[k]]},{h[Q[k]]}", dev)
 
     # Components must map onto components covering exactly the corresponding
@@ -539,8 +536,8 @@ def compose_morphisms(fst: SpaceoidMorphism, snd: SpaceoidMorphism) -> SpaceoidM
     return SpaceoidMorphism(fst.source, snd.target, obj, base, scalars)
 
 
-def morphisms_equal(m1: SpaceoidMorphism, m2: SpaceoidMorphism, tol=1e-6):
-    """(equal, max scalar deviation); maps must agree exactly."""
+def morphisms_equal(m1: SpaceoidMorphism, m2: SpaceoidMorphism, tol=DEFAULT_TOL.residual()):
+    """(equal, max scalar deviation); maps must agree exactly, scalars within ``tol``."""
     if m1.source is not m2.source or m1.target is not m2.target:
         return False, float("inf")
     if m1.obj_map != m2.obj_map or m1.base_maps != m2.base_maps:

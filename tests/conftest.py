@@ -7,6 +7,9 @@ from cstardual.cstarcat import (
     StarFunctor,
     one_object_category,
 )
+from cstardual.functors import sections_category
+from cstardual.generators import GenParams, _random_unitary, _transport_category, gen_spaceoid
+from cstardual.rng import Xoshiro256StarStar
 from cstardual.spaceoid import FiniteSpaceoid
 
 
@@ -20,6 +23,21 @@ def pointwise_tensor(n):
 
 def functions_algebra(n, label="A"):
     return one_object_category(pointwise_tensor(n), np.eye(n), np.ones(n), label)
+
+
+def conditioned_category(seed, kappa):
+    """Section category of a generated 3-object spaceoid (the oracle, also
+    returned) with each Hom-set's basis changed by U diag(s) V, U and V
+    unitary and s log-spaced from 1 to ``kappa``: condition number kappa."""
+    oracle = gen_spaceoid(GenParams(seed=seed, n_objects=3, max_base=4, edge_density=0.9))
+    cat = sections_category(oracle, check=False)
+    rng = Xoshiro256StarStar(seed)
+    transforms = {}
+    for A, B in sorted(cat.hom_pairs()):
+        n = cat.dim(A, B)
+        sing = np.logspace(0, np.log10(kappa), n)
+        transforms[(A, B)] = _random_unitary(rng, n) @ (sing[:, None] * _random_unitary(rng, n))
+    return _transport_category(cat, transforms), oracle
 
 
 @pytest.fixture

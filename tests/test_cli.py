@@ -13,6 +13,8 @@ from cstardual.errors import SchemaError
 from cstardual.generators import GenParams, gen_category, gen_morphism_pair, gen_spaceoid
 from cstardual.cstarcat import identity_functor
 
+from conftest import conditioned_category
+
 
 @pytest.fixture
 def footnote_file(tmp_path, footnote_category):
@@ -254,6 +256,21 @@ class TestCli:
         assert len(doc["pairs"]) == 2
         assert doc["full_left"] is True and doc["full_right"] is False
         assert doc["inner_product_deviation"] <= 1e-9
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_tolerance_rejected(self, footnote_file, capsys, value):
+        assert main(["--tol", value, "validate", "--input", str(footnote_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --tol: ") and "Traceback" not in err
+
+    def test_ill_conditioned_basis_validates(self, tmp_path, capsys):
+        # condition number 100 per Hom-set: the canonical Gram form is
+        # Hermitian only to about 1e-9 absolute, 1e-13 relative
+        cat, _ = conditioned_category(2, 100)
+        path = tmp_path / "kappa100.json"
+        path.write_text(jsonio.dump_json(jsonio.category_to_json(cat)))
+        assert main(["validate", "--input", str(path)]) == 0
+        assert main(["spectrum", "--input", str(path)]) == 0
 
     def test_io_error_exit_one(self, tmp_path):
         missing = tmp_path / "nope.json"

@@ -14,13 +14,17 @@ from cstardual.cstarcat import (
     linking_category,
     validate_category,
 )
-from cstardual.errors import (BimoduleAxiomViolation, CornerDimensionExceedsOne,
+from cstardual.duality import check_gelfand_isomorphism
+from cstardual.errors import (BimoduleAxiomViolation, CornerDimensionExceedsOne, CstarDualError,
                              DiagonalNotSemisimple, HolonomyViolation)
-from cstardual.functors import sections_category
+from cstardual.functors import sections_category, spectral_spaceoid
 from cstardual.generators import GenParams, gen_category
 from cstardual.numlin import Tolerance, max_abs
 
-from conftest import diagonal_support_bimodule, functions_algebra, pointwise_tensor
+from cstardual.spaceoid import spaceoids_isomorphic
+
+from conftest import (conditioned_category, diagonal_support_bimodule, functions_algebra,
+                      pointwise_tensor)
 
 
 class TestValidateCategory:
@@ -33,8 +37,13 @@ class TestValidateCategory:
     def test_selfadjoint_square_valid(self, c2_selfadjoint):
         assert validate_category(c2_selfadjoint).ok
 
-    def test_negative_square_fails_positivity(self, c2_negative_square):
-        report = validate_category(c2_negative_square)
+    def test_negative_square_fails_positivity(self, footnote_category):
+        # x* = -x off the diagonal: x* . x = -1 on both off-diagonal Hom-sets,
+        # while the diagonals, and so their characters, stay valid
+        cat = footnote_category
+        invol = {key: (-J if key[0] != key[1] else J) for key, J in cat.invol.items()}
+        report = validate_category(FiniteCStarCategory(cat.objects, cat.dims, cat.comp,
+                                                       invol, cat.units))
         assert not report.ok
         failed = {f.check for f in report.failures}
         assert "positivity" in failed
@@ -83,16 +92,37 @@ class TestCharacters:
         assert max_abs(lhs - rhs) < 1e-8
 
     def test_non_star_but_semisimple(self, c2_negative_square):
-        # invalid as a C*-category, still has two multiplicative functionals
-        chars = characters_of_diagonal(c2_negative_square, "A")
-        vals = sorted(np.round(c.values[1].imag, 9) for c in chars)
-        assert vals == [-1.0, 1.0]
+        # two multiplicative functionals exist, but b2* . b2 = -b1 makes the
+        # canonical form phi(x* y) indefinite: not the diagonal of a valid input
+        with pytest.raises(DiagonalNotSemisimple, match="not positive definite"):
+            characters_of_diagonal(c2_negative_square, "A")
 
     def test_cache_keyed_by_tolerance(self, c2_selfadjoint):
         assert len(c2_selfadjoint.characters("A")) == 2
         # at this tolerance the two characters coincide, cached or not
         with pytest.raises(DiagonalNotSemisimple):
             c2_selfadjoint.characters("A", Tolerance(abs_eps=10.0))
+
+
+class TestConditioning:
+    @pytest.mark.parametrize("kappa", [10, 100])
+    def test_recovered_while_well_conditioned(self, kappa):
+        for seed in range(20):
+            cat, oracle = conditioned_category(seed, kappa)
+            assert validate_category(cat).ok, seed
+            spectrum = spectral_spaceoid(cat)
+            assert spaceoids_isomorphic(spectrum[0], oracle) is not None, seed
+            assert check_gelfand_isomorphism(cat, spectrum=spectrum)[1].ok, seed
+
+    @pytest.mark.parametrize("kappa", [1e3, 1e4, 1e5, 1e6, 1e7, 1e8])
+    def test_typed_outcome_past_break_down(self, kappa):
+        for seed in range(20):
+            cat, _ = conditioned_category(seed, kappa)
+            validate_category(cat)  # a report, never an exception
+            try:
+                spectral_spaceoid(cat)
+            except CstarDualError:
+                pass
 
 
 class TestCorner:

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -173,3 +176,45 @@ def test_tolerance_must_be_positive():
         Tolerance(abs_eps=0.0)
     with pytest.raises(ValueError):
         Tolerance(rel_eps=-1.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_tolerance_must_be_finite(value):
+    with pytest.raises(ValueError):
+        Tolerance(abs_eps=value)
+    with pytest.raises(ValueError):
+        Tolerance(rel_eps=value)
+
+
+def test_default_thresholds_keep_their_values():
+    tol = DEFAULT_TOL
+    assert tol.axiom(2.0) == 1e2 * 1e-9 * 2.0 * 2.0
+    assert tol.character(3.0) == 1e3 * 1e-9 * 3.0 * 3.0
+    assert tol.kernel(2.0, 3.0) == 100.0 * 1e-9 * 2.0 * 3.0
+    assert tol.rank(4.0) == 1e-9 * 4.0 + 1e-9
+    assert tol.residual() == 1e-6 and tol.residual(3.0) == 1e-6 * 3.0
+    assert tol.positivity() == 1e-7 and tol.positivity(3.0) == 1e-7 * 3.0
+    assert tol.phase() == 1e-9 and tol.phase(10) == 10 * 1e-9 and tol.phase(100) == 100 * 1e-9
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "cstardual"
+# literals in (0, 1) that decide nothing: sampling constants of the generators
+# and the CLI's --density default
+NOT_THRESHOLDS = {("generators.py", 0.5), ("generators.py", 0.6), ("generators.py", 1e-8),
+                  ("cli.py", 0.7)}
+
+
+def test_thresholds_derive_from_tolerance():
+    """Outside numlin no code reads the raw epsilons or writes a threshold
+    as a literal: every bound comes from a Tolerance method."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "numlin.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("abs_eps", "rel_eps"):
+                found.append((path.name, node.lineno, node.attr))
+            elif (isinstance(node, ast.Constant) and type(node.value) is float
+                  and 0 < node.value < 1 and (path.name, node.value) not in NOT_THRESHOLDS):
+                found.append((path.name, node.lineno, node.value))
+    assert found == []
