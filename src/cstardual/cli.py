@@ -37,8 +37,8 @@ def _read_input(args):
     if args.input is None:
         raise SchemaError("$", "--input FILE is required for this command")
     try:
-        text = Path(args.input).read_text()
-    except OSError as exc:
+        text = Path(args.input).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(args.input, str(exc))
     return jsonio.load_document(text)
 
@@ -204,30 +204,32 @@ def cmd_link(args):
 
 
 def _params_from_args(args) -> GenParams:
-    return GenParams(
-        seed=args.seed, n_objects=args.n_objects, max_base=args.max_base,
-        edge_density=args.density, phase_mode=args.phase_mode,
-        scramble=args.scramble)
+    try:
+        return GenParams(
+            seed=args.seed, n_objects=args.n_objects, max_base=args.max_base,
+            edge_density=args.density, phase_mode=args.phase_mode,
+            scramble=args.scramble)
+    except ValueError as exc:
+        raise SchemaError("parameters", str(exc))
 
 
 def cmd_gen(args):
     params = _params_from_args(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
+    docs = {}
     if args.what in ("spaceoid", "both"):
-        S = gen_spaceoid(params)
-        path = out / f"spaceoid_{params.seed}.json"
-        path.write_text(jsonio.dump_json(jsonio.spaceoid_to_json(S)) + "\n")
-        written.append(str(path))
+        docs["spaceoid"] = jsonio.spaceoid_to_json(gen_spaceoid(params))
     if args.what in ("category", "both"):
         cat, oracle = gen_category(params)
-        path = out / f"category_{params.seed}.json"
-        path.write_text(jsonio.dump_json(jsonio.category_to_json(cat)) + "\n")
-        written.append(str(path))
-        path = out / f"oracle_{params.seed}.json"
-        path.write_text(jsonio.dump_json(jsonio.spaceoid_to_json(oracle)) + "\n")
-        written.append(str(path))
+        docs["category"] = jsonio.category_to_json(cat)
+        docs["oracle"] = jsonio.spaceoid_to_json(oracle)
+    written = [str(out / f"{name}_{params.seed}.json") for name in docs]
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for path, doc in zip(written, docs.values()):
+            Path(path).write_text(jsonio.dump_json(doc) + "\n")
+    except OSError as exc:
+        raise SchemaError(args.out, str(exc))
     _emit(args, {"written": written}, [f"wrote {p}" for p in written])
     return EXIT_OK
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -50,10 +51,29 @@ def json_to_array(v, shape, path):
     """Nested [re, im] arrays into a complex ndarray of the given shape.
 
     Leaves must be plain ints or floats and finite; an error names the
-    first offending [re, im] pair in index order."""
+    first offending [re, im] pair in index order.  Well-formed input passes
+    a screen that checks one nesting level at a time; anything it refuses
+    goes to ``_checked_array``, which finds the error."""
     shape = tuple(shape)
     if 0 in shape:
         return np.zeros(shape, dtype=complex)
+    nodes = [v]
+    for n in shape + (2,):
+        if set(map(type, nodes)) != {list} or set(map(len, nodes)) != {n}:
+            return _checked_array(v, shape, path)
+        nodes = list(chain.from_iterable(nodes))
+    if set(map(type, nodes)) <= {int, float}:  # bool and str are refused
+        try:
+            flat = np.array(nodes, dtype=float)
+        except OverflowError:  # an integer outside the double range
+            return _checked_array(v, shape, path)
+        # strict: an integer just above the largest double rounds down to it
+        if (np.abs(flat) < _FLOAT_MAX).all():
+            return flat.view(complex).reshape(shape)
+    return _checked_array(v, shape, path)
+
+def _checked_array(v, shape, path):
+    """``json_to_array`` leaf by leaf, over an object array."""
     raw = np.array(v, dtype=object)
     _expect(raw.shape == shape + (2,), path, f"expected shape {list(shape + (2,))}")
     kinds = np.frompyfunc(type, 1, 1)(raw)
@@ -407,4 +427,5 @@ def load_document(text: str):
 
 
 def dump_json(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)
+    """``doc`` as one compact line with sorted keys, written by the C encoder."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))

@@ -30,6 +30,20 @@ def e1_file(tmp_path, e1_spaceoid):
     return path
 
 
+# a (2, 2) tensor of [re, im] pairs, mixing int and float leaves
+TENSOR = [[[1.5, -2], [0.25, 3]], [[-4, 0.5], [6, -0.125]]]
+
+
+def _tensor_with(index, text):
+    """``TENSOR`` as JSON text, with the node at ``index`` replaced by ``text``."""
+    doc = json.loads(json.dumps(TENSOR))
+    node = doc
+    for i in index[:-1]:
+        node = node[i]
+    node[index[-1]] = "@"
+    return json.dumps(doc).replace('"@"', text)
+
+
 class TestJsonIo:
     def test_spaceoid_round_trip_exact(self, tmp_path):
         S = gen_spaceoid(GenParams(seed=12, n_objects=3, max_base=3,
@@ -114,6 +128,50 @@ class TestJsonIo:
         with pytest.raises(SchemaError) as err:
             jsonio.load_document(json.dumps(doc))
         assert str(err.value) == "category.comp.A|A|A[0, 1, 0]: re/im must be numbers"
+
+    @pytest.mark.parametrize("text, outcome", [
+        ('[[[1, 0], [2, 0], [3, 0]], [[4, 0]]]', "t: expected shape [2, 2, 2]"),
+        (json.dumps([[[[x, 0] for x in p] for p in r] for r in TENSOR]),
+         "t: expected shape [2, 2, 2]"),
+        (_tensor_with((0, 1, 1), "[1, 2]"), "t[0, 1]: re/im must be numbers"),
+        (_tensor_with((1, 0), '"ab"'), "t: expected shape [2, 2, 2]"),
+        (_tensor_with((1, 1, 0), "true"), "t[1, 1]: re/im must be numbers"),
+        (_tensor_with((0, 1, 1), '"1.5"'), "t[0, 1]: re/im must be numbers"),
+        (_tensor_with((1, 0, 0), "null"), "t[1, 0]: re/im must be numbers"),
+        (_tensor_with((0, 0, 1), str(10**30)),
+         [[1.5, 1e30, 0.25, 3.0], [-4.0, 0.5, 6.0, -0.125]]),
+        (_tensor_with((1, 1, 1), str(10**400)), "t[1, 1]: entries must be finite"),
+        # rounds to the largest double, but exceeds it
+        (_tensor_with((1, 0, 1), str(int(sys.float_info.max) + 1)),
+         "t[1, 0]: entries must be finite"),
+        (_tensor_with((0, 1), "[NaN, 0]"), "t[0, 1]: entries must be finite"),
+        (_tensor_with((1, 1), "[1, -Infinity]"), "t[1, 1]: entries must be finite"),
+        (_tensor_with((0, 1, 0), "-0.0"),
+         [[1.5, -2.0, -0.0, 3.0], [-4.0, 0.5, 6.0, -0.125]]),
+    ], ids=["ragged", "list-leaf-regular", "list-leaf-irregular", "str-pair", "bool",
+            "str-leaf", "null-leaf", "big-int", "huge-int", "above-max-int", "nan",
+            "infinity", "neg-zero"])
+    def test_leaf_screen_outcome(self, text, outcome):
+        if isinstance(outcome, str):
+            with pytest.raises(SchemaError) as err:
+                jsonio.json_to_array(json.loads(text), (2, 2), "t")
+            assert str(err.value) == outcome
+        else:
+            got = jsonio.json_to_array(json.loads(text), (2, 2), "t").view(float)
+            want = np.array(outcome)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_valid_documents_skip_checked_path(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a valid document reached the checked path")
+        monkeypatch.setattr(jsonio, "_checked_array", refuse)
+        fixtures = sorted((Path(__file__).resolve().parents[1] / "fixtures").glob("*.json"))
+        assert fixtures
+        for path in fixtures:
+            jsonio.load_document(path.read_text())
+        cat, _ = gen_category(GenParams(seed=3, n_objects=3, scramble="invertible"))
+        jsonio.load_document(jsonio.dump_json(jsonio.category_to_json(cat)))
 
     def test_malformed_json_position(self):
         with pytest.raises(SchemaError) as err:
@@ -292,6 +350,51 @@ class TestCli:
         text = open(spaceoid_path).read().strip()
         _, S = jsonio.load_document(text)
         assert jsonio.dump_json(jsonio.spaceoid_to_json(S)) == text
+
+    @pytest.mark.parametrize("argv, message", [
+        (["validate", "--input", "{tmp}/latin1.json"],
+         "{tmp}/latin1.json: 'utf-8' codec can't decode byte 0xff in position 0: "
+         "invalid start byte"),
+        (["gen", "--out", "{tmp}/latin1.json"],
+         "{tmp}/latin1.json: [Errno 17] File exists: '{tmp}/latin1.json'"),
+        (["roundtrip", "--gen", "--n-objects", "9"], "parameters: n_objects must be in 1..8"),
+        (["roundtrip", "--gen", "--max-base", "0"], "parameters: max_base must be in 1..6"),
+    ], ids=["non-utf8-input", "gen-out-is-file", "n-objects", "max-base"])
+    def test_bad_input_no_traceback(self, tmp_path, capsys, argv, message):
+        (tmp_path / "latin1.json").write_bytes(b"\xff\xfe{}")
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n".replace("{tmp}", str(tmp_path))
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--input", "fixtures/footnote_full.json"],
+        ["validate", "--input", "fixtures/e1_spaceoid.json"],
+        ["spectrum", "--input", "fixtures/footnote_full.json"],
+        ["sections", "--input", "fixtures/e1_spaceoid.json"],
+        ["roundtrip", "--input", "fixtures/e1_spaceoid.json"],
+        ["roundtrip", "--gen", "--seed", "7"],
+        ["naturality", "--input", "{tmp}/morphism.json"],
+        ["link", "--input", "fixtures/nonfull_bimodule.json"],
+        ["gen", "--out", "{tmp}/gen", "--seed", "11"],
+    ], ids=["validate-category", "validate-spaceoid", "spectrum", "sections",
+            "roundtrip-file", "roundtrip-gen", "naturality", "link", "gen"])
+    def test_json_output_is_one_compact_line(self, tmp_path, capsys, argv):
+        m, _ = gen_morphism_pair(GenParams(seed=6, n_objects=2, max_base=2,
+                                           edge_density=0.9, phase_mode="random"))
+        (tmp_path / "morphism.json").write_text(jsonio.dump_json(jsonio.morphism_to_json(m)))
+        root = Path(__file__).resolve().parents[1]
+        argv = [a.replace("{tmp}", str(tmp_path)).replace("fixtures/", f"{root}/fixtures/")
+                for a in argv]
+        assert main(["--format", "json", *argv]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
+        assert out.count("\n") == 1
+        for path in json.loads(out).get("written", []):  # gen: files load back exactly
+            text = Path(path).read_text()
+            kind, value = jsonio.load_document(text)
+            to_json = {"spaceoid": jsonio.spaceoid_to_json,
+                       "category": jsonio.category_to_json}[kind]
+            assert text == jsonio.dump_json(to_json(value)) + "\n"
 
     @pytest.mark.parametrize("command", ["validate", "sections"])
     def test_noncomposable_phase_rejected(self, tmp_path, capsys, command):
