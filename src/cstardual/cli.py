@@ -16,7 +16,7 @@ from .cstarcat import validate_category, check_star_functor
 from .errors import CstarDualError, DegenerateFunctor, DiagonalNotSemisimple, SchemaError
 from .functors import sections_category, sigma_on_morphism, spectral_spaceoid
 from .generators import GenParams, gen_category, gen_spaceoid
-from .numlin import DEFAULT_EPS, Tolerance
+from .numlin import DEFAULT_EPS, Tolerance, max_abs
 from .spaceoid import (
     invert_morphism,
     morphisms_equal,
@@ -186,6 +186,7 @@ def cmd_link(args):
         raise SchemaError("$", f"link expects a bimodule, got {kind}")
     spec = duality.bimodule_spectrum(value, args.tol)
     dev = duality.check_bimodule_isomorphism(value, spec, args.tol)
+    ok = dev <= args.tol.residual(max(1.0, max_abs(value.ipA), max_abs(value.ipB)))
     payload = spec.to_json()
     payload["iso"] = jsonio.array_to_json(spec.iso)
     payload["inner_product_deviation"] = dev
@@ -197,10 +198,10 @@ def cmd_link(args):
         f"({'full' if spec.full_left() else 'proper'})",
         f"right support {spec.right_support} "
         f"({'full' if spec.full_right() else 'proper'})",
-        f"inner product deviation {dev:.3g}",
+        f"inner product deviation {dev:.3g}{'' if ok else ' FAIL'}",
     ]
     _emit(args, payload, lines)
-    return EXIT_OK
+    return EXIT_OK if ok else EXIT_INVALID
 
 
 def _params_from_args(args) -> GenParams:

@@ -1,7 +1,10 @@
 """JSON schemas and (de)serialization for every value the CLI exchanges.
 
-Complex numbers are [re, im] pairs of decimal doubles throughout; no string
-parsing.  Composition tensors are nested arrays indexed [i][j][k] for the
+A tensor is written packed: one base64 string of its little-endian complex128
+bytes (the [re, im] doubles) in C order, so ``np.frombuffer(base64.b64decode(s),
+"<c16").reshape(shape)`` decodes it.  Nested lists of [re, im] pairs of
+decimal doubles are read as well.  Scalars (``nu``, ``c``, morphism scalars)
+are [re, im] pairs.  Composition tensors are indexed [i][j][k] for the
 coefficient of basis vector k of Hom(A,C) in b_i . b_j; involution matrices
 are indexed [row][col] with rows over the opposite Hom-set.  Spaceoid point
 ids are strings, unique within a document.
@@ -9,7 +12,9 @@ ids are strings, unique within a document.
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 import sys
 from itertools import chain
 
@@ -33,8 +38,8 @@ def complex_to_json(z):
     return [z.real, z.imag]
 
 def array_to_json(a):
-    a = np.asarray(a, dtype=complex)
-    return np.stack([a.real, a.imag], -1).tolist()
+    """``a`` packed: base64 of its little-endian complex128 bytes in C order."""
+    return base64.b64encode(np.ascontiguousarray(a, dtype="<c16").tobytes()).decode("ascii")
 
 def _expect(cond, path, message):
     if not cond:
@@ -48,7 +53,8 @@ def json_to_complex(v, path):
     return complex(v[0], v[1])
 
 def json_to_array(v, shape, path):
-    """Nested [re, im] arrays into a complex ndarray of the given shape.
+    """A packed string or nested [re, im] arrays into a complex ndarray of the
+    given shape.
 
     Leaves must be plain ints or floats and finite; an error names the
     first offending [re, im] pair in index order.  Well-formed input passes
@@ -57,6 +63,8 @@ def json_to_array(v, shape, path):
     shape = tuple(shape)
     if 0 in shape:
         return np.zeros(shape, dtype=complex)
+    if isinstance(v, str):
+        return _packed_array(v, shape, path)
     nodes = [v]
     for n in shape + (2,):
         if set(map(type, nodes)) != {list} or set(map(len, nodes)) != {n}:
@@ -71,6 +79,21 @@ def json_to_array(v, shape, path):
         if (np.abs(flat) < _FLOAT_MAX).all():
             return flat.view(complex).reshape(shape)
     return _checked_array(v, shape, path)
+
+def _packed_array(v, shape, path):
+    """``json_to_array`` of a packed string: exactly ``16 * prod(shape)``
+    bytes of finite doubles (the largest double included)."""
+    try:
+        raw = base64.b64decode(v, validate=True)
+    except ValueError:  # a binascii.Error, or a non-ASCII character
+        raise SchemaError(path, "expected base64 text")
+    size = 16 * math.prod(shape)
+    _expect(len(raw) == size, path, f"expected {size} packed bytes, got {len(raw)}")
+    pairs = np.frombuffer(raw, "<f8").reshape(shape + (2,))
+    bad = np.argwhere(~np.isfinite(pairs).all(-1))
+    if bad.size:
+        raise SchemaError(f"{path}{bad[0].tolist()}", "entries must be finite")
+    return np.frombuffer(raw, "<c16").reshape(shape).astype(complex)  # owned and writable
 
 def _checked_array(v, shape, path):
     """``json_to_array`` leaf by leaf, over an object array."""

@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 import subprocess
@@ -7,11 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cstardual import jsonio
+from cstardual import duality, jsonio
 from cstardual.cli import main
 from cstardual.errors import SchemaError
 from cstardual.generators import GenParams, gen_category, gen_morphism_pair, gen_spaceoid
 from cstardual.cstarcat import identity_functor
+from cstardual.functors import sections_category, spectral_spaceoid
 
 from conftest import conditioned_category
 
@@ -42,6 +44,29 @@ def _tensor_with(index, text):
         node = node[i]
     node[index[-1]] = "@"
     return json.dumps(doc).replace('"@"', text)
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+TO_JSON = {"category": jsonio.category_to_json, "spaceoid": jsonio.spaceoid_to_json,
+           "bimodule": jsonio.bimodule_to_json}
+
+# ``TENSOR`` as its (2, 2) complex array, its packed bytes and its packed text
+TENSOR_ARRAY = np.array(TENSOR, dtype=float).view(complex)[..., 0]
+RAW = TENSOR_ARRAY.astype("<c16").tobytes()
+PACKED = base64.b64encode(RAW).decode("ascii")
+
+
+def _packed_with(double, value):
+    """``PACKED`` with the double at flat index ``double`` set to ``value``."""
+    doubles = np.frombuffer(RAW, "<f8").copy()
+    doubles[double] = value
+    return base64.b64encode(doubles.tobytes()).decode("ascii")
+
+
+def _exact_bytes(arrays):
+    """Nonempty arrays keyed by ``|``-joined labels, as their packed bytes."""
+    return {"|".join(k) if isinstance(k, tuple) else k: np.ascontiguousarray(M, "<c16").tobytes()
+            for k, M in arrays.items() if M.size}
 
 
 class TestJsonIo:
@@ -161,6 +186,49 @@ class TestJsonIo:
             want = np.array(outcome)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("text, message", [
+        (PACKED[:-1], "t: expected base64 text"),
+        (base64.b64encode(RAW[:-1]).decode(), "t: expected 64 packed bytes, got 63"),
+        (PACKED[:-8] + PACKED[-4:], "t: expected 64 packed bytes, got 61"),
+        (PACKED[:-4] + "AAAA" + PACKED[-4:], "t: expected 64 packed bytes, got 67"),
+        (PACKED + "AAAA", "t: expected base64 text"),
+        (PACKED[:-2] + "=A", "t: expected base64 text"),
+        (PACKED[:5] + "*" + PACKED[6:], "t: expected base64 text"),
+        (PACKED[:5] + "\u00e9" + PACKED[6:], "t: expected base64 text"),
+        (PACKED[:8] + " " + PACKED[8:], "t: expected base64 text"),
+        (PACKED[:8] + "\n" + PACKED[8:], "t: expected base64 text"),
+        ("", "t: expected 64 packed bytes, got 0"),
+        (_packed_with(4, np.nan), "t[1, 0]: entries must be finite"),
+        (_packed_with(3, np.inf), "t[0, 1]: entries must be finite"),
+        (_packed_with(7, -np.inf), "t[1, 1]: entries must be finite"),
+    ], ids=["truncated-char", "truncated-byte", "truncated-quantum", "extra-quantum",
+            "quantum-after-padding", "bad-padding", "non-alphabet", "non-ascii", "space",
+            "newline", "empty", "nan", "inf", "neg-inf"])
+    def test_packed_mutant_rejected(self, text, message):
+        with pytest.raises(SchemaError) as err:
+            jsonio.json_to_array(text, (2, 2), "t")
+        assert str(err.value) == message
+
+    def test_packed_writer_layout(self):
+        # views, real arrays and the other byte order all write C-order <c16 bytes
+        for a in (TENSOR_ARRAY.T, TENSOR_ARRAY.real, np.arange(4.0).reshape(2, 2),
+                  TENSOR_ARRAY.astype(">c16")):
+            text = jsonio.array_to_json(a)
+            assert text == jsonio.array_to_json(np.array(a, dtype="<c16", order="C"))
+            assert base64.b64decode(text) == np.asarray(a, dtype="<c16").tobytes()
+            got = jsonio.json_to_array(text, a.shape, "t")
+            assert np.array_equal(got, a)
+            assert got.flags.owndata and got.flags.writeable and got.dtype == complex
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")))
+    def test_fixture_loads_same_from_packed_redump(self, name):
+        text = (FIXTURES / name).read_text()
+        kind, value = jsonio.load_document(text)
+        packed = jsonio.dump_json(TO_JSON[kind](value))
+        kind2, value2 = jsonio.load_document(packed)
+        # packed text carries the bytes: equal text is bit-identical arrays
+        assert kind2 == kind and jsonio.dump_json(TO_JSON[kind](value2)) == packed
 
     def test_valid_documents_skip_checked_path(self, monkeypatch):
         def refuse(*args):
@@ -314,6 +382,41 @@ class TestCli:
         assert len(doc["pairs"]) == 2
         assert doc["full_left"] is True and doc["full_right"] is False
         assert doc["inner_product_deviation"] <= 1e-9
+
+    @pytest.mark.parametrize("dev, code", [(None, 0), (float("inf"), 2), (1e-3, 2)],
+                             ids=["fixture", "singular", "far"])
+    def test_link_exit_follows_deviation(self, monkeypatch, capsys, dev, code):
+        if dev is not None:
+            monkeypatch.setattr(duality, "check_bimodule_isomorphism", lambda *args: dev)
+        assert main(["link", "--input", str(FIXTURES / "nonfull_bimodule.json")]) == code
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith("inner product deviation ")
+        assert last.endswith(" FAIL") == (code == 2)
+
+    @pytest.mark.parametrize("command", ["spectrum", "sections", "link"])
+    def test_json_tensors_are_packed(self, capsys, command):
+        name = {"spectrum": "footnote_full", "sections": "e1_spaceoid",
+                "link": "nonfull_bimodule"}[command]
+        path = FIXTURES / f"{name}.json"
+        assert main(["--format", "json", command, "--input", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        _, value = jsonio.load_document(path.read_text())
+        if command == "spectrum":
+            _, G = spectral_spaceoid(value)
+            got, want = out["gelfand"], {"diag": G.diag, "hom": G.hat, "frames": G.frames}
+        elif command == "sections":
+            cat = sections_category(value)
+            got = out["category"]
+            want = {"comp": cat.comp, "invol": cat.invol,
+                    "units": {A: cat.unit(A) for A in cat.objects}}
+        else:
+            spec = duality.bimodule_spectrum(value)
+            fields = ("iso", "left_characters", "right_characters")
+            got = {"link": {f: out[f] for f in fields}}
+            want = {"link": {f: getattr(spec, f) for f in fields}}
+        for field, arrays in want.items():
+            assert {k: base64.b64decode(v, validate=True) for k, v in got[field].items()} \
+                == _exact_bytes(arrays)
 
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
     def test_bad_tolerance_rejected(self, footnote_file, capsys, value):
