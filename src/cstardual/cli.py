@@ -12,8 +12,14 @@ import sys
 from pathlib import Path
 
 from . import duality, jsonio
-from .cstarcat import validate_category, check_star_functor
-from .errors import CstarDualError, DegenerateFunctor, DiagonalNotSemisimple, SchemaError
+from .cstarcat import ValidationReport, check_star_functor, linking_category, validate_category
+from .errors import (
+    BimoduleAxiomViolation,
+    CstarDualError,
+    DegenerateFunctor,
+    DiagonalNotSemisimple,
+    SchemaError,
+)
 from .functors import sections_category, sigma_on_morphism, spectral_spaceoid
 from .generators import GenParams, gen_category, gen_spaceoid
 from .numlin import DEFAULT_EPS, Tolerance, max_abs
@@ -66,8 +72,6 @@ def cmd_validate(args):
     elif kind == "star_functor":
         report = check_star_functor(value, args.tol)
     else:  # bimodule: validation happens while assembling the linking category
-        from .cstarcat import linking_category, ValidationReport
-        from .errors import BimoduleAxiomViolation
         report = ValidationReport()
         try:
             linking_category(value, args.tol)
@@ -186,10 +190,13 @@ def cmd_link(args):
         raise SchemaError("$", f"link expects a bimodule, got {kind}")
     spec = duality.bimodule_spectrum(value, args.tol)
     dev = duality.check_bimodule_isomorphism(value, spec, args.tol)
-    ok = dev <= args.tol.residual(max(1.0, max_abs(value.ipA), max_abs(value.ipB)))
+    bound = args.tol.residual(max(1.0, max_abs(value.ipA), max_abs(value.ipB)))
+    ok = dev <= bound
     payload = spec.to_json()
     payload["iso"] = jsonio.array_to_json(spec.iso)
     payload["inner_product_deviation"] = dev
+    payload["pass"] = ok
+    payload["tolerance"] = bound
     payload["left_characters"] = jsonio.array_to_json(spec.left_characters)
     payload["right_characters"] = jsonio.array_to_json(spec.right_characters)
     lines = [

@@ -5,7 +5,7 @@ A category is stored per Hom-set: composition tensors ``comp[(A,B,C)]`` with
 conjugate-linear involution matrices ``invol[(A,B)]`` acting as
 ``x* = J @ conj(x)``, and unit vectors on the diagonals.  Characters of the
 diagonal algebras are extracted numerically and everything downstream
-(corners, orbit classes, norms, the spectrum construction) is built on them.
+(corners, norms, the spectrum construction) is built on them.
 """
 
 from __future__ import annotations
@@ -453,70 +453,6 @@ def validate_category(cat: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL) ->
 
 
 # ---------------------------------------------------------------------------
-# orbit classes
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OrbitClass:
-    """Maximal compatible system of diagonal characters together with the
-    Hom-sets on which the corresponding functionals vanish."""
-
-    assignment: tuple  # ((object, character index), ...) in object order
-    zero_homs: frozenset  # ordered pairs (A, B), A != B
-
-    def char_index(self, A) -> int:
-        return dict(self.assignment)[A]
-
-    def to_json(self):
-        return {
-            "assignment": {A: k for A, k in self.assignment},
-            "zero_homs": sorted(f"{A}|{B}" for A, B in self.zero_homs),
-        }
-
-
-def _check_match_coherence(cat, tol):
-    """Transitivity of the corner matching across object triples."""
-    for A, B, C in product(cat.objects, repeat=3):
-        if len({A, B, C}) != 3:
-            continue
-        mab = {p: q for p, (q, _, _) in cat.corner_matching(A, B, tol).items()}
-        mbc = {p: q for p, (q, _, _) in cat.corner_matching(B, C, tol).items()}
-        mac = {p: q for p, (q, _, _) in cat.corner_matching(A, C, tol).items()}
-        for p, q in mab.items():
-            if q in mbc and mac.get(p) != mbc[q]:
-                raise HolonomyViolation(
-                    f"matching through {B} disagrees with direct matching {A}->{C}"
-                    f" at character {p}")
-
-
-def enumerate_orbit_classes(cat: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL):
-    """One class per choice of a character for every object; the class records
-    which off-diagonal Hom-sets the associated functionals vanish on.
-
-    Deterministic order (lexicographic in the canonical character order).
-    A class whose characters are pairwise matched restricts to a genuine
-    scalar *-functor on the corresponding component; across unmatched pairs
-    the data is a formal character system bookkeeping the vanishing Hom-sets
-    (the phase torsor makes any nonzero values non-canonical there).
-    """
-    objs = sorted(cat.objects)
-    _check_match_coherence(cat, tol)
-    matches = {}
-    for A, B in product(objs, repeat=2):
-        if A != B:
-            matches[(A, B)] = {p: q for p, (q, _, _) in cat.corner_matching(A, B, tol).items()}
-    classes = []
-    for combo in product(*(range(cat.dim(A, A)) for A in objs)):
-        pick = dict(zip(objs, combo))
-        zero = set()
-        for A, B in matches:
-            if matches[(A, B)].get(pick[A]) != pick[B]:
-                zero.add((A, B))
-        classes.append(OrbitClass(tuple(sorted(pick.items())), frozenset(zero)))
-    return classes
-
-
-# ---------------------------------------------------------------------------
 # *-functors
 # ---------------------------------------------------------------------------
 
@@ -594,11 +530,12 @@ def check_non_degenerate(F: StarFunctor, tol: Tolerance = DEFAULT_TOL):
     """Non-degeneracy gate: every functional that is nonzero on a target
     Hom-set must pull back to a nonzero functional.
 
-    Returns ``(True, None)`` or ``(False, (orbit_class, A, B))`` where the
-    witness class is one concrete functional family exhibiting the failure.
+    Returns ``(True, None)`` or ``(False, ((A2, p, B2, q), A, B))``: the
+    functional of the target's matched character pair (p of A2, q of B2),
+    nonzero on Hom(A2,B2), vanishes after pull-back on Hom(A,B).
     A functional's restriction to Hom(A',B') is nonzero exactly when its
     character pair is matched by a nonzero corner, so the gate quantifies
-    over matched pairs rather than over all orbit classes.
+    over matched pairs.
     """
     src, tgt = F.source, F.target
     for A, B in src.off_diagonal_pairs():
@@ -610,22 +547,8 @@ def check_non_degenerate(F: StarFunctor, tol: Tolerance = DEFAULT_TOL):
         for p_idx, (q_idx, _, functional) in matching.items():
             pulled = functional @ H
             if max_abs(pulled) <= tol.residual(1.0 + max_abs(functional)):
-                witness = _witness_class(tgt, {A2: p_idx, B2: q_idx}, tol)
-                return False, (witness, A, B)
+                return False, ((A2, p_idx, B2, q_idx), A, B)
     return True, None
-
-
-def _witness_class(cat, pins, tol):
-    objs = sorted(cat.objects)
-    assignment = {A: pins.get(A, 0) for A in objs}
-    zero = set()
-    for A, B in product(objs, repeat=2):
-        if A == B:
-            continue
-        match = {p: q for p, (q, _, _) in cat.corner_matching(A, B, tol).items()}
-        if match.get(assignment[A]) != assignment[B]:
-            zero.add((A, B))
-    return OrbitClass(tuple(sorted(assignment.items())), frozenset(zero))
 
 
 # ---------------------------------------------------------------------------

@@ -299,10 +299,10 @@ def sigma_on_morphism(F: StarFunctor, tol: Tolerance = DEFAULT_TOL,
     """
     ok, witness = check_non_degenerate(F, tol)
     if not ok:
-        cls, A, B = witness
+        (A2, p, B2, q), A, B = witness
         raise DegenerateFunctor(
-            f"functional {dict(cls.assignment)} vanishes after pull-back on "
-            f"Hom({A},{B})")
+            f"functional {dict(sorted([(A2, p), (B2, q)]))} vanishes after "
+            f"pull-back on Hom({A},{B})")
     src, tgt = F.source, F.target
     (S1, G1) = spectra[0] if spectra else spectral_spaceoid(src, tol)
     (S2, G2) = spectra[1] if spectra else spectral_spaceoid(tgt, tol)

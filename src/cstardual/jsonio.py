@@ -16,7 +16,6 @@ import base64
 import json
 import math
 import sys
-from itertools import chain
 
 import numpy as np
 
@@ -53,31 +52,16 @@ def json_to_complex(v, path):
     return complex(v[0], v[1])
 
 def json_to_array(v, shape, path):
-    """A packed string or nested [re, im] arrays into a complex ndarray of the
-    given shape.
+    """A packed string (``_packed_array``) or nested [re, im] arrays
+    (``_checked_array``) into a complex ndarray of the given shape.
 
     Leaves must be plain ints or floats and finite; an error names the
-    first offending [re, im] pair in index order.  Well-formed input passes
-    a screen that checks one nesting level at a time; anything it refuses
-    goes to ``_checked_array``, which finds the error."""
+    first offending [re, im] pair in index order."""
     shape = tuple(shape)
     if 0 in shape:
         return np.zeros(shape, dtype=complex)
     if isinstance(v, str):
         return _packed_array(v, shape, path)
-    nodes = [v]
-    for n in shape + (2,):
-        if set(map(type, nodes)) != {list} or set(map(len, nodes)) != {n}:
-            return _checked_array(v, shape, path)
-        nodes = list(chain.from_iterable(nodes))
-    if set(map(type, nodes)) <= {int, float}:  # bool and str are refused
-        try:
-            flat = np.array(nodes, dtype=float)
-        except OverflowError:  # an integer outside the double range
-            return _checked_array(v, shape, path)
-        # strict: an integer just above the largest double rounds down to it
-        if (np.abs(flat) < _FLOAT_MAX).all():
-            return flat.view(complex).reshape(shape)
     return _checked_array(v, shape, path)
 
 def _packed_array(v, shape, path):

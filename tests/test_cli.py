@@ -11,9 +11,12 @@ import pytest
 from cstardual import duality, jsonio
 from cstardual.cli import main
 from cstardual.errors import SchemaError
-from cstardual.generators import GenParams, gen_category, gen_morphism_pair, gen_spaceoid
-from cstardual.cstarcat import identity_functor
+from cstardual.generators import (GenParams, gen_category, gen_morphism_pair, gen_spaceoid,
+                                  scramble_category)
+from cstardual.cstarcat import StarFunctor, check_star_functor, identity_functor
 from cstardual.functors import sections_category, spectral_spaceoid
+from cstardual.rng import Xoshiro256StarStar
+from cstardual.spaceoid import FiniteSpaceoid
 
 from conftest import conditioned_category
 
@@ -233,13 +236,16 @@ class TestJsonIo:
     def test_valid_documents_skip_checked_path(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("a valid document reached the checked path")
-        monkeypatch.setattr(jsonio, "_checked_array", refuse)
-        fixtures = sorted((Path(__file__).resolve().parents[1] / "fixtures").glob("*.json"))
-        assert fixtures
-        for path in fixtures:
-            jsonio.load_document(path.read_text())
+        docs = []
+        for path in sorted(FIXTURES.glob("*.json")):
+            kind, value = jsonio.load_document(path.read_text())
+            docs.append(jsonio.dump_json(TO_JSON[kind](value)))
+        assert docs
         cat, _ = gen_category(GenParams(seed=3, n_objects=3, scramble="invertible"))
-        jsonio.load_document(jsonio.dump_json(jsonio.category_to_json(cat)))
+        docs.append(jsonio.dump_json(jsonio.category_to_json(cat)))
+        monkeypatch.setattr(jsonio, "_checked_array", refuse)
+        for text in docs:  # packed tensors never reach the list reader
+            jsonio.load_document(text)
 
     def test_malformed_json_position(self):
         with pytest.raises(SchemaError) as err:
@@ -299,6 +305,23 @@ class TestCli:
         path.write_text(jsonio.dump_json(jsonio.functor_to_json(footnote_embedding)))
         assert main(["--format", "json", "spectrum", "--input", str(path)]) == 3
         assert main(["--format", "json", "naturality", "--input", str(path)]) == 3
+
+    def test_degenerate_message_names_the_matched_pair(self, tmp_path, capsys):
+        # the footnote embedding plus a disjoint object C: the message names
+        # the target's matched characters at A and B, and nothing at C
+        bases = {"A": ["a"], "B": ["b"], "C": ["c"]}
+        link = {("A", "B"): [("a", "b")], ("B", "A"): [("b", "a")]}
+        src = sections_category(FiniteSpaceoid("ABC", bases, {}))
+        tgt = sections_category(FiniteSpaceoid("ABC", bases, link))
+        homs = {(A, B): np.eye(tgt.dim(A, B), src.dim(A, B)) for A, B in src.hom_pairs()}
+        F = StarFunctor(src, tgt, {A: A for A in "ABC"}, homs)
+        assert check_star_functor(F).ok
+        path = tmp_path / "emb3.json"
+        path.write_text(jsonio.dump_json(jsonio.functor_to_json(F)))
+        assert main(["spectrum", "--input", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "degenerate functor: functional {'A': 0, 'B': 0} vanishes after "
+            "pull-back on Hom(A,B)\n")
 
     @pytest.mark.parametrize("text, message", [
         # the NaN tensor here is one level short of shape (1, 1, 1, 2)
@@ -388,10 +411,15 @@ class TestCli:
     def test_link_exit_follows_deviation(self, monkeypatch, capsys, dev, code):
         if dev is not None:
             monkeypatch.setattr(duality, "check_bimodule_isomorphism", lambda *args: dev)
-        assert main(["link", "--input", str(FIXTURES / "nonfull_bimodule.json")]) == code
+        path = str(FIXTURES / "nonfull_bimodule.json")
+        assert main(["link", "--input", path]) == code
         last = capsys.readouterr().out.splitlines()[-1]
         assert last.startswith("inner product deviation ")
         assert last.endswith(" FAIL") == (code == 2)
+        assert main(["--format", "json", "link", "--input", path]) == code
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["pass"] is (code == 0)
+        assert doc["pass"] is (doc["inner_product_deviation"] <= doc["tolerance"])
 
     @pytest.mark.parametrize("command", ["spectrum", "sections", "link"])
     def test_json_tensors_are_packed(self, capsys, command):
@@ -417,6 +445,33 @@ class TestCli:
         for field, arrays in want.items():
             assert {k: base64.b64decode(v, validate=True) for k, v in got[field].items()} \
                 == _exact_bytes(arrays)
+
+    def test_ring_labels_sorting_out_of_index_order(self, tmp_path, capsys):
+        # a 12-object ring, 2 base points per object, one link per edge:
+        # O10 sorts before O2, O01..O12 sort in index order; both must pass
+        # and give the same spectrum up to the relabelling
+        counts = []
+        for width in (1, 2):
+            objs = [f"O{i:0{width}d}" for i in range(1, 13)]
+            bases = {A: ["p0", "p1"] for A in objs}
+            links = {}
+            for A, B in zip(objs, objs[1:] + objs[:1]):
+                links[(A, B)], links[(B, A)] = [("p1", "p0")], [("p0", "p1")]
+            cat, _ = scramble_category(
+                sections_category(FiniteSpaceoid(objs, bases, links)),
+                Xoshiro256StarStar(12), "unitary")
+            path = tmp_path / f"ring{width}.json"
+            path.write_text(jsonio.dump_json(jsonio.category_to_json(cat)))
+            for command in ("validate", "roundtrip"):
+                assert main([command, "--input", str(path)]) == 0
+            capsys.readouterr()
+            assert main(["--format", "json", "spectrum", "--input", str(path)]) == 0
+            points = json.loads(capsys.readouterr().out)["spaceoid"]["points"]
+            index = {A: i for i, A in enumerate(objs)}
+            counts.append({tuple(index[A] for A in key.split("|")): len(pts)
+                           for key, pts in points.items()})
+        assert counts[0] == counts[1]
+        assert sum(counts[0].values()) == 24
 
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
     def test_bad_tolerance_rejected(self, footnote_file, capsys, value):

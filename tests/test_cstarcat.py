@@ -9,7 +9,6 @@ from cstardual.cstarcat import (
     check_star_functor,
     corner,
     cstar_norm,
-    enumerate_orbit_classes,
     identity_functor,
     linking_category,
     validate_category,
@@ -239,38 +238,26 @@ class TestCstarNorm:
                 assert abs(lhs - rhs) <= 1e-6 * (1 + rhs)
 
 
-class TestOrbitClasses:
+class TestSpectrumComponents:
+    """The linked components of the spectrum: which characters of different
+    diagonals are matched by nonzero corners."""
+
     def test_discrete_pair(self, discrete_two_category):
-        classes = enumerate_orbit_classes(discrete_two_category)
-        assert len(classes) == 1
-        assert classes[0].zero_homs == frozenset({("A", "B"), ("B", "A")})
+        S, _ = spectral_spaceoid(discrete_two_category)
+        assert [c.objects for c in S.components()] == [("A",), ("B",)]
 
     def test_footnote(self, footnote_category):
-        classes = enumerate_orbit_classes(footnote_category)
-        assert len(classes) == 1
-        assert classes[0].zero_homs == frozenset()
+        S, _ = spectral_spaceoid(footnote_category)
+        assert [c.objects for c in S.components()] == [("A", "B")]
 
     def test_e1_sections(self, e1_spaceoid):
-        cat = sections_category(e1_spaceoid)
-        classes = enumerate_orbit_classes(cat)
-        assert len(classes) == 6
-        linked = [c for c in classes if not c.zero_homs]
-        assert len(linked) == 1
-        # the linked class pairs evaluation at base point 1 with 1'
-        cls = linked[0]
-        pa = characters_of_diagonal(cat, "A")[cls.char_index("A")]
-        pb = characters_of_diagonal(cat, "B")[cls.char_index("B")]
-        assert np.allclose(pa.values.real, [1, 0])   # diag basis ['1','2']
-        assert np.allclose(pb.values.real, [1, 0, 0])
-
-    def test_class_count_is_character_product(self):
-        params = GenParams(seed=21, n_objects=3, max_base=2, edge_density=0.5,
-                           phase_mode="random", scramble="none")
-        cat, _ = gen_category(params)
-        expected = 1
-        for A in cat.objects:
-            expected *= cat.dim(A, A)
-        assert len(enumerate_orbit_classes(cat)) == expected
+        S, G = spectral_spaceoid(sections_category(e1_spaceoid))
+        linked = [c for c in S.components() if len(c.objects) > 1]
+        assert len(linked) == 1 and linked[0].objects == ("A", "B")
+        # the linked component pairs evaluation at base point 1 with 1'
+        diag = linked[0].diag
+        assert np.allclose(G.diag["A"][int(diag["A"])].real, [1, 0])  # diag basis ['1','2']
+        assert np.allclose(G.diag["B"][int(diag["B"])].real, [1, 0, 0])
 
 
 class TestStarFunctors:
@@ -293,9 +280,10 @@ class TestStarFunctors:
     def test_footnote_embedding_degenerate(self, footnote_embedding):
         ok, witness = check_non_degenerate(footnote_embedding)
         assert not ok
-        cls, A, B = witness
-        assert {A, B} == {"A", "B"}
-        assert cls.zero_homs == frozenset()
+        (A2, p, B2, q), A, B = witness
+        assert {A, B} == {"A", "B"} and (A2, B2) == (A, B)
+        # the witness is a matched pair: its functional is nonzero on the target
+        assert footnote_embedding.target.corner_matching(A2, B2)[p][0] == q
 
     def test_discrete_endofunctors_non_degenerate(self, discrete_two_category):
         swap = StarFunctor(
@@ -363,7 +351,7 @@ class TestLinkingCategory:
 
 def test_holonomy_violation_detected():
     # two chains forcing two distinct partners: transitivity of the corner
-    # matching fails, so orbit enumeration must reject the input
+    # matching fails, so the spectrum's composite-point check rejects the input
     objs = ("A", "B", "C")
     dims = {}
     for X in objs:
@@ -411,5 +399,5 @@ def test_holonomy_violation_detected():
     comp[("A", "C", "A")] = np.zeros((1, 1, 2), dtype=complex)
     comp[("A", "C", "A")][0, 0, 1] = 1.0
     cat = FiniteCStarCategory(objs, dims, comp, invol, units)
-    with pytest.raises(HolonomyViolation):
-        enumerate_orbit_classes(cat)
+    with pytest.raises(HolonomyViolation, match="has no composite point"):
+        spectral_spaceoid(cat)
