@@ -18,6 +18,7 @@ from .errors import (
     CstarDualError,
     DegenerateFunctor,
     DiagonalNotSemisimple,
+    HolonomyViolation,
     SchemaError,
 )
 from .functors import sections_category, sigma_on_morphism, spectral_spaceoid
@@ -83,10 +84,21 @@ def cmd_validate(args):
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
+def _certified_spectrum(cat, tol):
+    """``spectral_spaceoid`` of ``cat``, whose spaceoid must pass
+    ``validate_spaceoid``; else HolonomyViolation names the first failure."""
+    S, G = spectral_spaceoid(cat, tol)
+    report = validate_spaceoid(S, tol)
+    if not report.ok:
+        first = report.failures[0]
+        raise HolonomyViolation(f"spectrum fails {first.check} at {first.witness}")
+    return S, G
+
+
 def cmd_spectrum(args):
     kind, value = _read_input(args)
     if kind == "category":
-        S, G = spectral_spaceoid(value, args.tol)
+        S, G = _certified_spectrum(value, args.tol)
         payload = {"spaceoid": jsonio.spaceoid_to_json(S),
                    "gelfand": jsonio.gelfand_to_json(G)}
         lines = [f"spectrum over {len(S.objects)} objects"]
@@ -130,7 +142,7 @@ def cmd_roundtrip(args):
     lines = []
     ok = True
     if cat is not None:
-        spec = spectral_spaceoid(cat, args.tol)
+        spec = _certified_spectrum(cat, args.tol)
         F, report = duality.check_gelfand_isomorphism(cat, args.tol, spec)
         payload["gelfand"] = {"pass": report.ok, "failures": report.to_json()["failures"]}
         lines.append(f"algebra-side transform: {'pass' if report.ok else 'FAIL'}")

@@ -11,6 +11,7 @@ diagonal algebras are extracted numerically and everything downstream
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -21,11 +22,12 @@ from .errors import (
     DiagonalNotSemisimple,
     HolonomyViolation,
     NoConvergence,
-    NotCommuting,
     NotHermitian,
-    NotNormal,
 )
-from .numlin import DEFAULT_TOL, Tolerance, hermitian_eig, max_abs, simultaneous_diag
+from .numlin import DEFAULT_TOL, Tolerance, hermitian_eig, joint_diagonalize, lex_order, max_abs
+from .rng import Xoshiro256StarStar
+
+_CORNER_SEED = 0xC0A2E125
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +207,6 @@ class DiagonalCharacter:
         return complex(np.dot(self.values, x))
 
 
-def _char_sort_key(values):
-    return tuple((float(v.real), float(v.imag)) for v in values)
-
-
 def _finish_characters(cat, A, omega, tol):
     """Validate raw character rows and return them canonically ordered."""
     d = cat.dim(A, A)
@@ -226,7 +224,7 @@ def _finish_characters(cat, A, omega, tol):
     if close.size:
         k, l = close[0]
         raise DiagonalNotSemisimple(f"characters {k},{l} on {A} coincide")
-    rows = sorted(range(d), key=lambda k: _char_sort_key(omega[k]))
+    rows = lex_order(omega)
     return [DiagonalCharacter(A, i, omega[rows[i]].copy()) for i in range(d)]
 
 
@@ -234,8 +232,14 @@ def _diagonal_characters(cat, A, tol):
     """Characters through the canonical inner product <x,y> = phi(x* y) with
     phi = tr o L, faithful and positive on the diagonal of every commutative
     C*-category.  In a *-orthonormal basis the left-multiplication operators
-    become normal, so the family is handled by simultaneous_diag; where that
-    fails, the diagonal is not the algebra of a valid input."""
+    become normal and commute, so one seeded joint diagonalization
+    (``numlin.joint_diagonalize``) gives their eigenvalue tuples, which are
+    the character rows.  Nothing is checked beforehand; the certificate comes
+    after: the unitary must diagonalize every operator (else "not
+    diagonalized"), and ``_finish_characters`` must find ``d`` distinct
+    multiplicative unital rows, which are then the whole spectrum of a
+    ``d``-dimensional algebra (Dedekind).  Where either fails, the diagonal is
+    not the algebra of a valid input."""
     if cat.dim(A, A) == 0:
         raise DiagonalNotSemisimple(f"diagonal at {A} is zero-dimensional")
     T = cat.comp[(A, A, A)]
@@ -249,12 +253,10 @@ def _diagonal_characters(cat, A, tol):
         root = np.sqrt(evals)
         C = (root[:, None] * V.conj().T)
         Cinv = V * (1.0 / root)[None, :]
-        tilde = C @ lmats @ Cinv
-        U = simultaneous_diag(tilde, tol)
-    except (NotHermitian, NotNormal, NotCommuting, NoConvergence) as exc:
+        _, tuples = joint_diagonalize(C @ lmats @ Cinv, tol)
+    except (NotHermitian, NoConvergence) as exc:
         raise DiagonalNotSemisimple(f"no joint eigenbasis for the diagonal at {A}: {exc}")
-    omega = np.einsum("ak,iab,bk->ki", np.conj(U), tilde, U, optimize=True)
-    return _finish_characters(cat, A, omega, tol)
+    return _finish_characters(cat, A, tuples.T, tol)
 
 
 def characters_of_diagonal(cat: FiniteCStarCategory, A, tol: Tolerance = DEFAULT_TOL):
@@ -322,14 +324,65 @@ def _corner_actions(cat, A, B, tol):
     return left, right
 
 
+@lru_cache(maxsize=None)
+def _corner_weights(dA, dB):
+    """Seeded complex weights ``w = (a, b)``, a of length dA and b of length
+    dB, and every sum ``a_p + b_q`` at index ``p dB + q``."""
+    rng = Xoshiro256StarStar(_CORNER_SEED)
+    w = np.array([complex(rng.normal(), rng.normal()) for _ in range(dA + dB)])
+    sums = (w[:dA, None] + w[None, dA:]).ravel()
+    w.flags.writeable = sums.flags.writeable = False  # shared by every caller
+    return w, sums
+
+
 def _corner_matching(cat, A, B, tol):
     """Partial bijection between diagonal characters induced by nonzero
-    corners: dict p_index -> (q_index, generator u, functional u* K).  All
-    corner projections are taken at once; the first failure in (p, q) order
-    is raised: a corner of dimension > 1, or a character of A with two
-    partners, and after those a character of B with two partners."""
+    corners: dict p_index -> (q_index, generator u, functional f), in p
+    order, with ``|u| = 1``, ``f u = 1`` and ``u f`` the corner projection.
+
+    On a valid category the idempotent actions commute, so ``M = L(sum a_p
+    e_p) + R(sum b_q e_q)``, weights seeded from ``_CORNER_SEED``, has
+    eigenvalue ``a_p + b_q`` exactly on corner (p, q).  One ``eig`` gives
+    the generators (unit columns u_k of U) and the functionals (rows f_k of
+    U^-1); eigenvalue k is assigned the nearest ``a_p + b_q``.  Certificate,
+    checked afterwards: no p or q is assigned twice, and every
+    ``U^-1 L(e_p) U`` and ``U^-1 R(e_q) U`` is the 0/1 diagonal of its
+    assigned pairs within the corner tolerance over
+    ``kappa = |U|_F |U^-1|_F >= cond(U)``.  Then e_p and e_q fix the u_k and
+    f_k of their pairs and annihilate the others, so every corner projection
+    is ``u_k f_k`` or zero.  Only an uncertified Hom-set goes through
+    ``_stacked_corner_matching``, which names its first failure."""
     if cat.dim(A, B) == 0:
         return {}
+    T1, T2 = cat.comp[(A, A, B)], cat.comp[(A, B, B)]
+    eA, eB = cat.idempotents(A, tol), cat.idempotents(B, tol)
+    dA, dB = len(eA), len(eB)
+    w, sums = _corner_weights(dA, dB)
+    try:
+        lam, U = np.linalg.eig(cat.left_action_matrix(A, B, eA @ w[:dA])
+                               + cat.right_action_matrix(A, B, eB @ w[dA:]))
+        F = np.linalg.inv(U)
+    except np.linalg.LinAlgError:
+        return _stacked_corner_matching(cat, A, B, tol)
+    p, q = np.unravel_index(np.argmin(np.abs(lam[:, None] - sums), axis=1), (dA, dB))
+    hit = np.concatenate([p == np.arange(dA)[:, None], q == np.arange(dB)[:, None]])
+    # U^-1 L(e_p) U and U^-1 R(e_q) U, from the actions of the basis elements
+    acts = np.concatenate([np.tensordot(eA, F @ np.tensordot(T1, U, axes=(1, 0)), axes=(0, 0)),
+                           np.tensordot(eB, F @ np.tensordot(T2, U, axes=(0, 0)), axes=(0, 0))])
+    dev = np.max(np.abs(acts - hit[:, None, :] * np.eye(len(U))))
+    kappa = np.linalg.norm(U) * np.linalg.norm(F)
+    if np.all(hit.sum(axis=1) <= 1) and kappa * dev <= _corner_zero_tol(cat, A, B, tol):
+        return {int(p[k]): (int(q[k]), U[:, k], F[k]) for k in np.argsort(p).tolist()}
+    return _stacked_corner_matching(cat, A, B, tol)
+
+
+def _stacked_corner_matching(cat, A, B, tol):
+    """The matching from every corner projection at once,
+    ``right[None] @ left[:, None]``.  The first failure in (p, q) order is
+    raised: a corner of dimension > 1, or a character of A with two partners,
+    and after those a character of B with two partners.  Where none fails,
+    the matching is returned, with ``u`` the corner's largest column
+    normalized and ``f = u* K``."""
     left, right = _corner_actions(cat, A, B, tol)
     n, shape = cat.dim(A, B), (len(left), len(right))
     u, functional, nonzero, exceeds = (x.reshape(shape + x.shape[1:]) for x in _corner_generators(
@@ -543,11 +596,12 @@ def check_non_degenerate(F: StarFunctor, tol: Tolerance = DEFAULT_TOL):
         matching = tgt.corner_matching(A2, B2, tol)
         if not matching:
             continue
-        H = F.hom_maps[(A, B)]
-        for p_idx, (q_idx, _, functional) in matching.items():
-            pulled = functional @ H
-            if max_abs(pulled) <= tol.residual(1.0 + max_abs(functional)):
-                return False, ((A2, p_idx, B2, q_idx), A, B)
+        ps = list(matching)
+        functionals = np.array([matching[p][2] for p in ps])
+        pulled = np.max(np.abs(functionals @ F.hom_maps[(A, B)]), axis=1, initial=0.0)
+        bound = tol.residual(1.0 + np.max(np.abs(functionals), axis=1))
+        for k in np.flatnonzero(pulled <= bound)[:1].tolist():
+            return False, ((A2, ps[k], B2, matching[ps[k]][0]), A, B)
     return True, None
 
 

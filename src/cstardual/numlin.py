@@ -1,10 +1,15 @@
 """Dense complex linear algebra kernels used by every other module.
 
 Hermitian eigendecompositions and singular values come from LAPACK (``eigh``
-and ``svd``).  Simultaneous diagonalization of a commuting normal family uses
-the random-combination technique: eigendecompose a seeded random real
-combination of the Hermitian and anti-Hermitian parts and recurse on
-degenerate eigenvalue clusters.
+and ``svd``).  Joint diagonalization (``joint_diagonalize``) uses the
+random-combination technique: eigendecompose a seeded random real
+combination of the Hermitian and anti-Hermitian parts, all projected at once,
+and recurse on degenerate eigenvalue clusters.  It checks nothing beforehand;
+its certificate is the check afterwards that the unitary diagonalizes every
+matrix, which proves the family commuting and normal.  The public
+``simultaneous_diag`` also checks normality and commutation first, so that a
+failure there is NotNormal or NotCommuting.  Canonical orders are one
+``np.lexsort`` over (re, im) columns (``lex_order``).
 """
 
 from __future__ import annotations
@@ -149,48 +154,68 @@ def _check_family(Ms, tol: Tolerance):
     return mats, n
 
 
-def _hermitian_parts(mats):
-    parts = []
-    for M in mats:
-        parts.append((M + M.conj().T) / 2.0)
-        parts.append((M - M.conj().T) / 2.0j)
-    return parts
+def lex_order(rows):
+    """Indices that sort the rows of a complex matrix lexicographically in the
+    (re, im) pairs of their entries: one stable ``np.lexsort``, in which
+    ``-0.0`` ties with ``0.0``."""
+    rows = np.asarray(rows)
+    keys = np.stack([rows.real, rows.imag], axis=-1).reshape(len(rows), -1)
+    return np.lexsort(keys.T[::-1])
 
 
-def _split(V, parts, rng, tol, depth):
-    """Refine the orthonormal block V so all projected parts become diagonal."""
-    k = V.shape[1]
+def _split(projected, bounds, rng, tol, depth):
+    """Unitary ``W`` (k x k) that makes every matrix of the stack
+    ``projected`` (parts restricted to a k-dimensional subspace) diagonal;
+    ``bounds[i]`` is the spread up to which part i counts as scalar."""
+    k = projected.shape[1]
     if k <= 1:
-        return V
+        return np.eye(k, dtype=complex)
     if depth > 60:
         raise NoConvergence("simultaneous diagonalization recursion too deep")
-    projected = [V.conj().T @ P @ V for P in parts]
-    spreads = []
-    for P in projected:
-        ev = np.real(np.diag(P))
-        spreads.append(max_abs(P - np.diag(ev)) + (np.ptp(ev) if ev.size else 0.0))
-    if all(s <= tol.residual(max(1.0, max_abs(P))) for s, P in zip(spreads, parts)):
-        return V  # joint eigenspace: any orthonormal basis will do
-    H = np.zeros((k, k), dtype=complex)
-    for P in projected:
-        H += rng.normal() * P
+    ev = np.real(np.diagonal(projected, axis1=1, axis2=2))
+    off = np.max(np.abs(projected - ev[:, None, :] * np.eye(k)), axis=(1, 2))
+    if np.all(off + np.ptp(ev, axis=1) <= bounds):
+        return np.eye(k, dtype=complex)  # joint eigenspace: any orthonormal basis will do
+    H = np.tensordot([rng.normal() for _ in range(len(projected))], projected, axes=1)
     H = (H + H.conj().T) / 2.0
     evals, W = hermitian_eig(H, tol)
-    V = V @ W
     gap = tol.residual(max(1.0, max_abs(H)))
-    blocks, start = [], 0
-    for i in range(1, k + 1):
-        if i == k or evals[i] - evals[i - 1] > gap:
-            blocks.append((start, i))
-            start = i
-    if len(blocks) == 1:
-        # random combination failed to separate; retry with a fresh draw
-        return _split(V, parts, rng, tol, depth + 1)
+    cuts = (np.flatnonzero(np.diff(evals) > gap) + 1).tolist()
+    # one block of k means the draw failed to separate: it recurses on a fresh draw
     cols = []
-    for lo, hi in blocks:
-        sub = V[:, lo:hi]
-        cols.append(_split(sub, parts, rng, tol, depth + 1) if hi - lo > 1 else sub)
+    for lo, hi in zip([0] + cuts, cuts + [k]):
+        B = W[:, lo:hi]
+        cols.append(B @ _split(B.conj().T @ projected @ B, bounds, rng, tol, depth + 1)
+                    if hi - lo > 1 else B)
     return np.concatenate(cols, axis=1)
+
+
+def joint_diagonalize(mats, tol: Tolerance = DEFAULT_TOL):
+    """Unitary ``U`` and eigenvalue tuples ``tuples[i, k] = (U* M_i U)[k, k]``
+    of a stack ``mats`` of ``m`` matrices ``n x n`` (``n >= 1``), columns in
+    canonical order: lexicographic in the tuples, so already-diagonal input
+    returns the identity.
+
+    Nothing is checked beforehand.  The certificate is the check afterwards:
+    every ``U* M_i U`` must be diagonal within ``tol.kernel(max(1, |M_i|))``,
+    else NoConvergence names the first matrix that is not.  A unitary that
+    diagonalizes every matrix proves the family commuting and normal.
+    """
+    mats = np.asarray(mats, dtype=complex)
+    herm = mats.conj().transpose(0, 2, 1)
+    parts = np.stack([(mats + herm) / 2.0, (mats - herm) / 2.0j], axis=1).reshape(
+        (-1,) + mats.shape[1:])
+    bounds = tol.residual(np.maximum(1.0, np.max(np.abs(parts), axis=(1, 2))))
+    rng = Xoshiro256StarStar(_SIMDIAG_SEED)
+    U = _split(parts, bounds, rng, tol, 0)
+    D = U.conj().T @ mats @ U
+    tuples = np.diagonal(D, axis1=1, axis2=2)
+    off = np.max(np.abs(D - tuples[:, None, :] * np.eye(len(U))), axis=(1, 2))
+    scales = np.maximum(1.0, np.max(np.abs(mats), axis=(1, 2)))
+    for i in np.flatnonzero(off > tol.kernel(scales))[:1]:
+        raise NoConvergence(f"matrix {i} not diagonalized (off-diagonal {off[i]:g})")
+    order = lex_order(tuples.T)
+    return U[:, order], tuples[:, order]
 
 
 def simultaneous_diag(Ms, tol: Tolerance = DEFAULT_TOL):
@@ -204,19 +229,4 @@ def simultaneous_diag(Ms, tol: Tolerance = DEFAULT_TOL):
     mats, n = _check_family(Ms, tol)
     if n == 0:
         return np.zeros((0, 0), dtype=complex)
-    parts = _hermitian_parts(mats)
-    rng = Xoshiro256StarStar(_SIMDIAG_SEED)
-    U = _split(np.eye(n, dtype=complex), parts, rng, tol, 0)
-    tuples = []
-    for i, M in enumerate(mats):
-        D = U.conj().T @ M @ U
-        off = max_abs(D - np.diag(np.diag(D)))
-        if off > tol.kernel(max(1.0, max_abs(M))):
-            raise NoConvergence(f"matrix {i} not diagonalized (off-diagonal {off:g})")
-        tuples.append(np.diag(D))
-    # canonical column order: lexicographic in the joint eigenvalue tuples,
-    # so already-diagonal input returns the identity
-    keys = [tuple(v for z in col for v in (z.real, z.imag))
-            for col in np.array(tuples).T]
-    order = sorted(range(n), key=lambda k: keys[k])
-    return U[:, order]
+    return joint_diagonalize(mats, tol)[0]

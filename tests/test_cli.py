@@ -19,6 +19,7 @@ from cstardual.rng import Xoshiro256StarStar
 from cstardual.spaceoid import FiniteSpaceoid
 
 from conftest import conditioned_category
+from test_functors import perturbed_category
 
 
 @pytest.fixture
@@ -592,3 +593,27 @@ class TestCli:
             os.close(write_end)
         assert proc.returncode == 1
         assert proc.stderr == b""
+
+
+class TestCertifiedVerdicts:
+    """``spectrum`` and ``roundtrip`` validate the spaceoid they build, so on a
+    category that ``validate`` rejects, ``roundtrip`` never passes and every
+    spectrum that ``spectrum`` emits is a valid spaceoid."""
+
+    @pytest.mark.parametrize("involution", [False, True])
+    @pytest.mark.parametrize("scramble", ["unitary", "invertible"])
+    @pytest.mark.parametrize("seed", range(50))
+    def test_no_pass_on_rejected_input(self, tmp_path, capsys, seed, scramble, involution):
+        path = tmp_path / "cat.json"
+        path.write_text(jsonio.dump_json(jsonio.category_to_json(
+            perturbed_category(seed, scramble, involution))))
+        run = lambda *argv: (main(["--format", "json", *argv, "--input", str(path)]),
+                             capsys.readouterr().out)
+        assert run("validate")[0] == 2
+        code, out = run("roundtrip")
+        assert code != 0 and (not out or json.loads(out)["pass"] is False)
+        code, out = run("spectrum")
+        if code == 0:
+            spectrum = tmp_path / "spectrum.json"
+            spectrum.write_text(jsonio.dump_json(json.loads(out)["spaceoid"]))
+            assert main(["validate", "--input", str(spectrum)]) == 0

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from cstardual.cstarcat import (
     check_non_degenerate,
     check_star_functor,
     corner,
+    corner_projection_matrix,
     cstar_norm,
     identity_functor,
     linking_category,
@@ -205,6 +208,87 @@ class TestCornerKernel:
                     u = match[p.index][1]
                     assert basis.shape == (cat.dim(A, B), 1)
                     assert abs(abs(np.vdot(u, basis[:, 0])) - 1.0) < 1e-12
+
+
+def two_to_one_category():
+    """Two base points over A and one over B, both linked to it: Hom(A,B) is
+    spanned by e_0 . x and e_1 . x, and B's unit fixes both."""
+    dims = {("A", "A"): 2, ("B", "B"): 1, ("A", "B"): 2, ("B", "A"): 0}
+    right = np.zeros((2, 1, 2))
+    right[[0, 1], 0, [0, 1]] = 1.0
+    comp = {("A", "A", "A"): pointwise_tensor(2), ("B", "B", "B"): np.ones((1, 1, 1)),
+            ("A", "A", "B"): pointwise_tensor(2), ("A", "B", "B"): right}
+    invol = {("A", "A"): np.eye(2), ("B", "B"): np.eye(1)}
+    return FiniteCStarCategory(("A", "B"), dims, comp, invol, {"A": np.ones(2), "B": np.ones(1)})
+
+
+def one_object(comp, invol, unit):
+    return FiniteCStarCategory(("A",), {("A", "A"): len(unit)}, {("A", "A", "A"): comp},
+                               {("A", "A"): invol}, {"A": np.asarray(unit, dtype=complex)})
+
+
+def matrix_algebra():
+    """M_2(C) on e11, e12, e21, e22: e_ij . e_kl = delta_jk e_il, e_ij* = e_ji."""
+    T = np.zeros((4, 4, 4))
+    for i, j, l in product(range(2), repeat=3):
+        T[2 * i + j, 2 * j + l, 2 * i + l] = 1.0
+    return one_object(T, np.eye(4)[[0, 2, 1, 3]], [1, 0, 0, 1])
+
+
+def dual_numbers():
+    """C[x]/x^2 on 1, x with x* = x: x is nilpotent."""
+    T = np.zeros((2, 2, 2))
+    T[0, 0, 0] = T[0, 1, 1] = T[1, 0, 1] = 1.0
+    return one_object(T, np.eye(2), [1, 0])
+
+
+class TestCornerCertificate:
+    """One eigendecomposition per Hom-set, checked afterwards, gives the
+    matching of the stacked corner projections; where it cannot be
+    certified, the first failure keeps its class and message."""
+
+    @pytest.mark.parametrize("make", [matrix_algebra, dual_numbers])
+    def test_non_semisimple_diagonal(self, make):
+        cat = make()
+        with pytest.raises(DiagonalNotSemisimple):
+            cat.characters("A")
+        report = validate_category(cat)
+        assert "diagonal_semisimple" in {f.check for f in report.failures}
+
+    @pytest.mark.parametrize("name", ["footnote_category", "c2_selfadjoint", "e1", "full2",
+                                      "chain3", "seed13", "seed2", "seed7"])
+    def test_matching_agrees_with_stacked_corners(self, request, name):
+        if name.startswith("seed"):
+            cat, _ = gen_category(GenParams(seed=int(name[4:]), n_objects=3, max_base=4,
+                                            edge_density=0.9, phase_mode="random",
+                                            scramble="invertible"))
+        elif name in ("e1", "full2", "chain3"):
+            cat = sections_category(request.getfixturevalue(f"{name}_spaceoid"))
+        else:
+            cat = request.getfixturevalue(name)
+        for A, B in cat.hom_pairs():
+            match = cat.corner_matching(A, B)
+            for p, q in product(characters_of_diagonal(cat, A), characters_of_diagonal(cat, B)):
+                basis = corner(cat, A, B, p, q)
+                if match.get(p.index, (None,))[0] != q.index:
+                    assert basis.shape == (cat.dim(A, B), 0)
+                    continue
+                _, u, functional = match[p.index]
+                phase = np.vdot(basis[:, 0], u)
+                assert abs(abs(phase) - 1.0) <= 1e-12
+                stacked = basis[:, 0].conj() @ corner_projection_matrix(cat, A, B, p, q)
+                assert max_abs(functional - np.conj(phase) * stacked) <= \
+                    1e-12 * max(1.0, max_abs(stacked))
+
+    def test_two_corners_in_one_pair(self):
+        with pytest.raises(CornerDimensionExceedsOne,
+                           match=r"^corner \(A,B\) at characters \(0,0\) has dimension > 1$"):
+            duplicated_corner_category().corner_matching("A", "B")
+
+    def test_two_characters_meet_one(self):
+        with pytest.raises(HolonomyViolation,
+                           match="^character 0 of B matches two characters of A$"):
+            two_to_one_category().corner_matching("A", "B")
 
 
 class TestCstarNorm:

@@ -15,6 +15,7 @@ from cstardual.numlin import (
     DEFAULT_TOL,
     Tolerance,
     hermitian_eig,
+    lex_order,
     max_abs,
     numeric_rank,
     simultaneous_diag,
@@ -135,6 +136,29 @@ class TestSimultaneousDiag:
     def test_not_normal(self):
         with pytest.raises(NotNormal):
             simultaneous_diag([np.array([[0, 1], [0, 0]], dtype=complex)])
+
+
+class TestCanonicalOrder:
+    """Rows sort lexicographically in their (re, im) pairs, stably, with -0.0
+    tied to 0.0: the order of Python tuple keys, from one ``np.lexsort``."""
+
+    # leading values tie in rows 0, 1 and 3 (one of them -0.0); rows 1 and 3
+    # tie in every entry, so they keep their order
+    ROWS = np.array([[0.0, 1.0, 3.0], [-0.0, -0.0, 1.0], [1.0, 0.0, 5.0],
+                     [0.0, 0.0, 1.0], [1.0, 0.0, 4.0], [0.0, 1.0 - 1e-300j, 3.0]])
+
+    def test_order_pinned_against_tuple_keys(self):
+        keys = [tuple(v for z in row for v in (z.real, z.imag)) for row in self.ROWS]
+        expected = sorted(range(len(self.ROWS)), key=lambda k: keys[k])
+        assert expected == [1, 3, 5, 0, 4, 2]
+        assert lex_order(self.ROWS).tolist() == expected
+
+    def test_joint_diagonalizer_columns(self):
+        Ms = [np.diag([0.0, -0.0, 1.0, 0.0, 1.0]), np.diag([1.0, 2.0, 0.0, -1.0, 0.0]),
+              np.diag([3.0, 1.0, 5.0, 2.0, 4.0])]
+        assert np.argmax(np.abs(simultaneous_diag(Ms)), axis=0).tolist() == [3, 0, 1, 4, 2]
+        Ms = [np.diag([0.0, -0.0, 1.0, 0.0]), np.diag([1.0, -0.0, 0.0, 0.0])]
+        assert np.argmax(np.abs(simultaneous_diag(Ms)), axis=0).tolist() == [1, 3, 0, 2]
 
 
 class TestNumericRank:
