@@ -86,8 +86,7 @@ DEFAULT_TOL = Tolerance()
 
 
 def max_abs(M) -> float:
-    M = np.asarray(M)
-    return 0.0 if M.size == 0 else float(np.max(np.abs(M)))
+    return float(np.abs(M).max(initial=0.0))
 
 
 def _as_square(M) -> np.ndarray:

@@ -1,3 +1,4 @@
+import time
 from itertools import product
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from cstardual.cstarcat import (
     FiniteCStarCategory,
+    _corner_actions,
     StarFunctor,
     characters_of_diagonal,
     check_non_degenerate,
@@ -16,17 +18,18 @@ from cstardual.cstarcat import (
     linking_category,
     validate_category,
 )
-from cstardual.duality import check_gelfand_isomorphism
+from cstardual.duality import check_gelfand_isomorphism, gelfand_transform
 from cstardual.errors import (BimoduleAxiomViolation, CornerDimensionExceedsOne, CstarDualError,
                              DiagonalNotSemisimple, HolonomyViolation)
 from cstardual.functors import sections_category, spectral_spaceoid
-from cstardual.generators import GenParams, gen_category
-from cstardual.numlin import Tolerance, max_abs
-
-from cstardual.spaceoid import spaceoids_isomorphic
+from cstardual.generators import GenParams, gen_category, gen_functor_pair, scramble_category
+from cstardual.numlin import DEFAULT_TOL, Tolerance, max_abs
+from cstardual.rng import Xoshiro256StarStar
+from cstardual.spaceoid import FiniteSpaceoid, spaceoids_isomorphic
 
 from conftest import (conditioned_category, diagonal_support_bimodule, functions_algebra,
                       pointwise_tensor)
+from test_functors import perturbed_category
 
 
 class TestValidateCategory:
@@ -290,6 +293,19 @@ class TestCornerCertificate:
                            match="^character 0 of B matches two characters of A$"):
             two_to_one_category().corner_matching("A", "B")
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_corner_actions_match_einsum(self, seed):
+        cat, _ = gen_category(GenParams(seed=seed, n_objects=3, max_base=4, edge_density=0.8,
+                                        phase_mode="random", scramble="invertible"))
+        for A, B in cat.hom_pairs():
+            T1, T2 = cat.comp[(A, A, B)], cat.comp[(A, B, B)]
+            eA, eB = cat.idempotents(A), cat.idempotents(B)
+            left, right = _corner_actions(cat, A, B, DEFAULT_TOL)
+            # a sum of len(e) products, reordered
+            for got, want, e, T in ((left, np.einsum("ip,ijk->pkj", eA, T1), eA, T1),
+                                    (right, np.einsum("jq,ijk->qki", eB, T2), eB, T2)):
+                assert max_abs(got - want) <= 1e-14 * (1.0 + len(e) * max_abs(e) * max_abs(T))
+
 
 class TestCstarNorm:
     def test_unit(self, footnote_category):
@@ -485,3 +501,175 @@ def test_holonomy_violation_detected():
     cat = FiniteCStarCategory(objs, dims, comp, invol, units)
     with pytest.raises(HolonomyViolation, match="has no composite point"):
         spectral_spaceoid(cat)
+
+
+# ---------------------------------------------------------------------------
+# the support walk against the dense per-tuple loops it replaced
+# ---------------------------------------------------------------------------
+
+TIGHT = Tolerance(1e-300, 1e-300)  # every nonzero deviation becomes a failure
+
+
+def reference_validate_sweeps(cat, tol):
+    """The associativity and involution loops of ``validate_category`` as they
+    were before the support walk: every object tuple, one ``tensordot`` pair
+    or ``einsum`` each.  ``(check, witness, deviation, ok)`` in record order."""
+    objs = cat.objects
+    tmax = max([1.0] + [max_abs(T) for T in cat.comp.values()])
+    jmax = max([1.0] + [max_abs(J) for J in cat.invol.values()])
+    atol = tol.axiom(tmax, jmax)
+    records = []
+    for A, B, C, D in product(objs, repeat=4):
+        if cat.dim(A, B) * cat.dim(B, C) * cat.dim(C, D) == 0:
+            continue
+        T1, T2 = cat.comp[(A, B, C)], cat.comp[(A, C, D)]
+        T3, T4 = cat.comp[(B, C, D)], cat.comp[(A, B, D)]
+        lhs = np.tensordot(T1, T2, axes=(2, 0))
+        rhs = np.tensordot(T3, T4, axes=(2, 1)).transpose(2, 0, 1, 3)
+        dev = max_abs(lhs - rhs)
+        records.append(("associativity", f"({A},{B},{C},{D})", dev, dev <= atol))
+    for A, B, C in product(objs, repeat=3):
+        if cat.dim(A, B) * cat.dim(B, C) == 0:
+            continue
+        T = cat.comp[(A, B, C)]
+        Jab, Jbc, Jac = cat.invol[(A, B)], cat.invol[(B, C)], cat.invol[(A, C)]
+        lhs = np.conj(T) @ Jac.T
+        rhs = np.einsum("qj,pi,qpm->ijm", Jbc, Jab, cat.comp[(C, B, A)], optimize=True)
+        dev = max_abs(lhs - rhs)
+        records.append(("involution_antimultiplicative", f"({A},{B},{C})", dev, dev <= atol))
+    return records
+
+
+def reference_functor_composition(F, tol):
+    """The composition loop of ``check_star_functor`` before the support walk."""
+    src, tgt = F.source, F.target
+    hmax = max([1.0] + [max_abs(H) for H in F.hom_maps.values()])
+    tmax = max([1.0] + [max_abs(T) for T in src.comp.values()]
+               + [max_abs(T) for T in tgt.comp.values()])
+    atol = tol.axiom(hmax, tmax)
+    records = []
+    for A, B, C in product(src.objects, repeat=3):
+        T = src.comp[(A, B, C)]
+        if 0 in T.shape:
+            continue
+        A2, B2, C2 = F.obj_map[A], F.obj_map[B], F.obj_map[C]
+        Hab, Hbc, Hac = F.hom_maps[(A, B)], F.hom_maps[(B, C)], F.hom_maps[(A, C)]
+        lhs = T @ Hac.T
+        rhs = np.einsum("pi,qj,pqm->ijm", Hab, Hbc, tgt.comp[(A2, B2, C2)], optimize=True)
+        dev = max_abs(lhs - rhs)
+        records.append(("functor_composition", f"({A},{B},{C})", dev, dev <= atol))
+    return records
+
+
+def assert_sweeps_match(check, reference):
+    """``check(tol)`` (a report) against ``reference(tol)`` (records): the
+    same checks in the same order, the same failures and witnesses, and
+    deviations bit-identical for associativity, else within 1e-14 of
+    ``max(1, deviation)``.
+    Under ``TIGHT`` every nonzero deviation is a failure, so the report
+    carries each one; a tuple it does not name has deviation 0."""
+    report, records = check(DEFAULT_TOL), reference(DEFAULT_TOL)
+    names = {r[0] for r in records}
+    assert [c for c in report.checks_run if c in names] == [r[0] for r in records]
+    assert [(f.check, f.witness) for f in report.failures if f.check in names] \
+        == [(c, w) for c, w, _, ok in records if not ok]
+    tight = check(TIGHT)
+    got = {(f.check, f.witness): f.deviation for f in tight.failures if f.check in names}
+    assert set(got) <= {(c, w) for c, w, _, _ in records}
+    for name, witness, dev, _ in reference(TIGHT):
+        new = got.get((name, witness), 0.0)
+        if name == "associativity":
+            assert new == dev, (witness, new, dev)
+        else:
+            assert abs(new - dev) <= 1e-14 * max(1.0, dev), (name, witness, new, dev)
+
+
+def ring_sections(n):
+    """Sections of a ring spaceoid: 2 base points per object and one link per
+    ring edge, so all but 3n of the n^2 Hom-sets are zero."""
+    objs = [f"O{i:03d}" for i in range(n)]
+    links = {}
+    for A, B in zip(objs, objs[1:] + objs[:1]):
+        links[(A, B)], links[(B, A)] = [("p1", "p0")], [("p0", "p1")]
+    return sections_category(FiniteSpaceoid(objs, {A: ["p0", "p1"] for A in objs}, links),
+                             check=False)
+
+
+def split_square_category():
+    """Sections of a spaceoid with two components over four objects, {a, b0,
+    d1} and {b1, c, d0}: Hom(A,C) = 0 while Hom(A,B), Hom(B,C), Hom(C,D),
+    Hom(B,D) and Hom(A,D) are not, so on (A,B,C,D) the product (xy)z runs
+    through a zero Hom-set and x(yz) through a nonzero one, and both vanish."""
+    pairs = {("A", "B"): [("a", "b0")], ("B", "C"): [("b1", "c")], ("C", "D"): [("c", "d0")],
+             ("B", "D"): [("b0", "d1"), ("b1", "d0")], ("A", "D"): [("a", "d1")]}
+    links = dict(pairs)
+    links.update({(Y, X): [(q, p) for p, q in pts] for (X, Y), pts in pairs.items()})
+    S = FiniteSpaceoid(["A", "B", "C", "D"],
+                       {"A": ["a"], "B": ["b0", "b1"], "C": ["c"], "D": ["d0", "d1"]}, links)
+    return sections_category(S, check=False)
+
+
+def _shifted(cat, key):
+    """``cat`` with every entry of ``comp[key]`` shifted by 1."""
+    comp = {k: v.copy() for k, v in cat.comp.items()}
+    comp[key] += 1.0
+    return FiniteCStarCategory(cat.objects, dict(cat.dims), comp, cat.invol, cat.units)
+
+
+class TestSupportWalk:
+    @pytest.mark.parametrize("seed", range(50))
+    @pytest.mark.parametrize("scramble", ["unitary", "invertible"])
+    def test_perturbed_corpus_matches_dense_loops(self, seed, scramble):
+        for involution in (False, True):
+            cat = perturbed_category(seed, scramble, involution)
+            assert_sweeps_match(lambda tol: validate_category(cat, tol),
+                                lambda tol: reference_validate_sweeps(cat, tol))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_generated_corpus_matches_dense_loops(self, seed):
+        for density in (0.6, 0.8):
+            params = GenParams(seed=seed, n_objects=2 + seed % 4, max_base=3,
+                               edge_density=density, phase_mode="random",
+                               scramble=("unitary", "invertible")[seed % 2])
+            cat, _ = gen_category(params)
+            assert_sweeps_match(lambda tol: validate_category(cat, tol),
+                                lambda tol: reference_validate_sweeps(cat, tol))
+            phi, _ = gen_functor_pair(params)
+            homs = {k: H.copy() for k, H in phi.hom_maps.items()}
+            key = max(k for k, H in homs.items() if H.size)
+            homs[key].reshape(-1)[seed % homs[key].size] += 0.3
+            for F in (phi, StarFunctor(phi.source, phi.target, phi.obj_map, homs)):
+                assert_sweeps_match(lambda tol: check_star_functor(F, tol),
+                                    lambda tol: reference_functor_composition(F, tol))
+
+    def test_non_full_categories_match_dense_loops(self):
+        square = split_square_category()
+        ring, _ = scramble_category(ring_sections(6), Xoshiro256StarStar(6), "unitary")
+        for cat in (ring, square, _shifted(square, ("A", "B", "D"))):
+            assert_sweeps_match(lambda tol: validate_category(cat, tol),
+                                lambda tol: reference_validate_sweeps(cat, tol))
+        for cat in (ring, square):
+            F = gelfand_transform(cat)
+            assert_sweeps_match(lambda tol: check_star_functor(F, tol),
+                                lambda tol: reference_functor_composition(F, tol))
+
+    def test_zero_contraction_hom_set(self):
+        cat = split_square_category()
+        assert cat.dim("A", "C") == 0 and cat.dim("B", "D") == 2
+        assert all(cat.dim(*pair) for pair in [("A", "B"), ("B", "C"), ("C", "D"), ("A", "D")])
+        assert validate_category(cat).ok
+        # x . (yz) made nonzero through Hom(B,D), while (xy) . z stays in Hom(A,C) = 0
+        mutant = _shifted(cat, ("A", "B", "D"))
+        report = validate_category(mutant)
+        witnesses = [f.witness for f in report.failures if f.check == "associativity"]
+        assert "(A,B,C,D)" in witnesses
+        assert witnesses == [w for c, w, _, ok in reference_validate_sweeps(mutant, DEFAULT_TOL)
+                             if c == "associativity" and not ok]
+
+    def test_many_object_ring_is_fast(self):
+        # the dense loops visited all 48^4 quadruples here, about 1.7 s
+        cat = ring_sections(48)
+        start = time.perf_counter()
+        report = validate_category(cat)
+        assert time.perf_counter() - start < 1.0
+        assert report.ok
