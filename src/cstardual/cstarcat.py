@@ -3,7 +3,8 @@
 A category is stored per Hom-set: composition tensors ``comp[(A,B,C)]`` with
 ``comp[i,j,k]`` the coefficient of basis vector k of Hom(A,C) in b_i . b_j,
 conjugate-linear involution matrices ``invol[(A,B)]`` acting as
-``x* = J @ conj(x)``, and unit vectors on the diagonals.  Characters of the
+``x* = J @ conj(x)``, and unit vectors on the diagonals.  Tensors of size
+zero are not stored and read as zeros of their shape.  Characters of the
 diagonal algebras are extracted numerically and everything downstream
 (corners, norms, the spectrum construction) is built on them.
 """
@@ -88,10 +89,24 @@ class ValidationReport:
 # the category
 # ---------------------------------------------------------------------------
 
+class _Zeros(dict):
+    """Tensors by key; a key not stored reads as a fresh zero array of
+    ``shape(key)``, which raises ``KeyError`` on an undeclared object."""
+
+    def __init__(self, shape):
+        self.shape = shape
+
+    def __missing__(self, key):
+        return np.zeros(self.shape(key), dtype=complex)
+
+
 class FiniteCStarCategory:
     """Finite commutative C*-category given by structure tensors.
 
-    Instances are treated as immutable after construction; characters,
+    ``comp`` and ``invol`` store the tensors of nonzero size only; every other
+    declared key reads as zeros of its shape.  ``out[A]`` lists the objects B
+    with Hom(A,B) nonzero, in object order: the support index every sweep
+    walks.  Instances are treated as immutable after construction; characters,
     minimal idempotents and corner matchings are cached lazily, per
     tolerance.
     """
@@ -108,31 +123,31 @@ class FiniteCStarCategory:
             if d < 0:
                 raise ValueError(f"negative dimension for Hom-set ({A},{B})")
             self.dims[(A, B)] = d
-        self.comp = {}
-        for A, B, C in product(self.objects, repeat=3):
-            shape = (self.dims[(A, B)], self.dims[(B, C)], self.dims[(A, C)])
-            T = comp.get((A, B, C))
-            T = np.zeros(shape, dtype=complex) if T is None else np.asarray(T, dtype=complex)
-            if T.shape != shape:
-                raise ValueError(f"comp tensor ({A},{B},{C}) has shape {T.shape}, want {shape}")
-            self.comp[(A, B, C)] = T
-        self.invol = {}
-        for A, B in product(self.objects, repeat=2):
-            shape = (self.dims[(B, A)], self.dims[(A, B)])
-            J = invol.get((A, B))
-            J = np.zeros(shape, dtype=complex) if J is None else np.asarray(J, dtype=complex)
-            if J.shape != shape:
-                raise ValueError(f"invol matrix ({A},{B}) has shape {J.shape}, want {shape}")
-            self.invol[(A, B)] = J
-        self.units = {}
-        for A in self.objects:
-            u = np.asarray(units[A], dtype=complex)
-            if u.shape != (self.dims[(A, A)],):
+        # comp (A,B,C) is shaped by Hom(A,B), Hom(B,C), Hom(A,C), invol (A,B) by
+        # Hom(B,A), Hom(A,B).  The shapes close over ``dims``, not ``self``: a
+        # closure over self puts every category in a reference cycle.
+        dims = self.dims
+        self.comp = _Zeros(lambda k: (dims[k[:2]], dims[k[1:]], dims[k[::2]]))
+        self.invol = _Zeros(lambda k: (dims[k[::-1]], dims[k]))
+        for what, stored, given in (("comp tensor", self.comp, comp),
+                                    ("invol matrix", self.invol, invol)):
+            for key, T in given.items():
+                try:
+                    shape = stored.shape(key)
+                except (KeyError, TypeError):
+                    raise ValueError(f"{what} key {key!r} does not name declared objects") from None
+                T = np.asarray(T, dtype=complex)
+                if T.shape != shape:
+                    raise ValueError(f"{what} ({','.join(map(str, key))}) has shape {T.shape}, "
+                                     f"want {shape}")
+                if T.size:
+                    stored[key] = T
+        self.out = {A: [B for B in self.objects if dims[(A, B)]] for A in self.objects}
+        self.units = {A: np.asarray(units[A], dtype=complex) for A in self.objects}
+        for A, u in self.units.items():
+            if u.shape != (dims[(A, A)],):
                 raise ValueError(f"unit of {A} has wrong length")
-            self.units[A] = u
-        self._characters = {}
-        self._idempotents = {}
-        self._matchings = {}
+        self._characters, self._idempotents, self._matchings = {}, {}, {}
 
     # -- basic operations ---------------------------------------------------
 
@@ -431,11 +446,16 @@ def cstar_norm(cat, A, B, x, tol: Tolerance = DEFAULT_TOL) -> float:
 def _support_paths(cat, length):
     """Object tuples of the given length joined by nonzero Hom-sets (Hom(A,B),
     Hom(B,C), ... nonzero), in the order of ``product(cat.objects, repeat=length)``."""
-    out = {A: [B for B in cat.objects if cat.dim(A, B)] for A in cat.objects}
     paths = [(A,) for A in cat.objects]
     for _ in range(length - 1):
-        paths = [path + (B,) for path in paths for B in out[path[-1]]]
+        paths = [path + (B,) for path in paths for B in cat.out[path[-1]]]
     return paths
+
+
+def _pair_sweep(cat, dev):
+    """``dev(A, B)`` on the nonzero Hom-sets and 0 on the others, in ``hom_pairs()`` order."""
+    devs = {pair: dev(*pair) for pair in _support_paths(cat, 2)}
+    return [devs.get(pair, 0.0) for pair in cat.hom_pairs()]
 
 
 def _sandwich(P, Q, T):
@@ -465,14 +485,15 @@ def validate_category(cat: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL) ->
     loop over all tuples.  Each tuple costs two GEMMs on reshapes with
     explicit shapes, since a Hom-set contracted over may be zero while the
     outer ones are not; for associativity they are the GEMMs ``tensordot``
-    makes, so its deviations are bit for bit ``tensordot``'s.  Each check
-    records once: its deviations in one array, its witnesses named on
-    failure.
+    makes, so its deviations are bit for bit ``tensordot``'s.  The per-pair
+    checks compute on the nonzero Hom-sets and hold deviation 0 on the zero
+    ones.  Each check records once: its deviations in one array, its
+    witnesses named on failure.
     """
     report = ValidationReport()
     objs = cat.objects
-    tmax = max([1.0] + [max_abs(T) for T in cat.comp.values() if T.size])
-    jmax = max([1.0] + [max_abs(J) for J in cat.invol.values() if J.size])
+    tmax = max([1.0] + [max_abs(T) for T in cat.comp.values()])
+    jmax = max([1.0] + [max_abs(J) for J in cat.invol.values()])
     atol = tol.axiom(tmax, jmax)
 
     where, devs, swapped = _support_paths(cat, 4), [], {}
@@ -490,17 +511,18 @@ def validate_category(cat: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL) ->
         devs.append(max_abs(gap))
     _record_sweep(report, "associativity", devs, where, atol)
 
-    for A, B in cat.hom_pairs():
-        d = cat.dim(A, B)
+    def unit_law(A, B):
+        eye = np.eye(cat.dim(A, B))
         left = np.einsum("i,ijk->kj", cat.unit(A), cat.comp[(A, A, B)])
         right = np.einsum("j,ijk->ki", cat.unit(B), cat.comp[(A, B, B)])
-        dev = max(max_abs(left - np.eye(d)), max_abs(right - np.eye(d)))
-        report.record("unit_law", dev <= atol, f"({A},{B})", dev)
+        return max(max_abs(left - eye), max_abs(right - eye))
 
-    for A, B in cat.hom_pairs():
-        J, Jb = cat.invol[(A, B)], cat.invol[(B, A)]
-        dev = max_abs(Jb @ np.conj(J) - np.eye(cat.dim(A, B)))
-        report.record("involution_involutive", dev <= atol, f"({A},{B})", dev)
+    def involutive(A, B):
+        return max_abs(cat.invol[(B, A)] @ np.conj(cat.invol[(A, B)]) - np.eye(cat.dim(A, B)))
+
+    pairs = cat.hom_pairs()
+    _record_sweep(report, "unit_law", _pair_sweep(cat, unit_law), pairs, atol)
+    _record_sweep(report, "involution_involutive", _pair_sweep(cat, involutive), pairs, atol)
 
     for A in objs:
         dev = max_abs(cat.star(A, A, cat.unit(A)) - cat.unit(A))
@@ -528,9 +550,9 @@ def validate_category(cat: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL) ->
         except DiagonalNotSemisimple as exc:
             report.record("diagonal_semisimple", False, f"({A}): {exc}")
 
-    for A, B in cat.hom_pairs():
+    for A, B in _support_paths(cat, 2):
         d = cat.dim(A, B)
-        if B not in chars or d == 0:
+        if B not in chars:
             continue
         # characters of Hom(B,B) on x* . x, one column per basis element x
         vals = cat.character_matrix(B, tol) @ _squares(cat, A, B, np.eye(d))
@@ -567,9 +589,8 @@ class StarFunctor:
         if other.source is not self.target:
             raise ValueError("functors are not composable")
         obj = {A: other.obj_map[self.obj_map[A]] for A in self.source.objects}
-        homs = {}
-        for A, B in self.source.hom_pairs():
-            homs[(A, B)] = other.hom_maps[self.image_pair(A, B)] @ self.hom_maps[(A, B)]
+        homs = {(A, B): other.hom_maps[self.image_pair(A, B)] @ self.hom_maps[(A, B)]
+                for A, B in self.source.hom_pairs()}
         return StarFunctor(self.source, other.target, obj, homs)
 
 
@@ -585,6 +606,7 @@ def check_star_functor(F: StarFunctor, tol: Tolerance = DEFAULT_TOL) -> Validati
     ``validate_category`` (A, then B with Hom(A,B) nonzero, then C with
     Hom(B,C) nonzero, skipping a zero Hom(A,C)); each triple costs one GEMM
     for ``F(x y)`` and two for ``F(x) F(y)``, and the check records once.
+    The involution check computes on the source's nonzero Hom-sets only.
     """
     report = ValidationReport()
     src, tgt = F.source, F.target
@@ -594,9 +616,9 @@ def check_star_functor(F: StarFunctor, tol: Tolerance = DEFAULT_TOL) -> Validati
     report.record("object_bijective", ok, str(F.obj_map))
     if not ok:
         return report
-    hmax = max([1.0] + [max_abs(H) for H in F.hom_maps.values() if H.size])
-    tmax = max([1.0] + [max_abs(T) for T in src.comp.values() if T.size]
-               + [max_abs(T) for T in tgt.comp.values() if T.size])
+    hmax = max([1.0] + [max_abs(H) for H in F.hom_maps.values()])
+    tmax = max([1.0] + [max_abs(T) for T in src.comp.values()]
+               + [max_abs(T) for T in tgt.comp.values()])
     atol = tol.axiom(hmax, tmax)
 
     for A in src.objects:
@@ -613,12 +635,12 @@ def check_star_functor(F: StarFunctor, tol: Tolerance = DEFAULT_TOL) -> Validati
         devs.append(max_abs(lhs.reshape(ab, bc, len(Hac)) - rhs))
     _record_sweep(report, "functor_composition", devs, where, atol)
 
-    for A, B in src.hom_pairs():
-        A2, B2 = F.image_pair(A, B)
+    def involution(A, B):
         lhs = F.hom_maps[(B, A)] @ src.invol[(A, B)]
-        rhs = tgt.invol[(A2, B2)] @ np.conj(F.hom_maps[(A, B)])
-        dev = max_abs(lhs - rhs)
-        report.record("functor_involution", dev <= atol, f"({A},{B})", dev)
+        return max_abs(lhs - tgt.invol[F.image_pair(A, B)] @ np.conj(F.hom_maps[(A, B)]))
+
+    _record_sweep(report, "functor_involution", _pair_sweep(src, involution),
+                  src.hom_pairs(), atol)
     return report
 
 

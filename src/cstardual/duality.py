@@ -82,12 +82,7 @@ def gelfand_transform(C: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL,
     """
     S, G = spectrum if spectrum is not None else spectral_spaceoid(C, tol)
     sec = sections_category(S, tol, check=False)
-    homs = {}
-    for A, B in C.hom_pairs():
-        if A == B:
-            homs[(A, B)] = G.diag[A].copy()
-        else:
-            homs[(A, B)] = G.hat[(A, B)].T.copy()
+    homs = {(A, B): (G.diag[A] if A == B else G.hat[(A, B)].T).copy() for A, B in C.hom_pairs()}
     return StarFunctor(C, sec, {A: A for A in C.objects}, homs)
 
 

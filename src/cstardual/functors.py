@@ -76,22 +76,22 @@ def sections_category(S: FiniteSpaceoid, tol: Tolerance = DEFAULT_TOL,
     j = np.concatenate([base, loc, S._slab, loc[Q]])
     k = np.concatenate([base, loc, loc, np.where(R >= 0, loc[R], S._tlab[P])])
     v = np.concatenate([np.ones(len(base)), one, one, S._c[pair]])
+    # a tensor per triple with a structure constant; the category reads the rest as zeros
     triple = (a * n + b) * n + c
     order = np.argsort(triple, kind="stable")
-    bounds = np.searchsorted(triple[order], np.arange(n ** 3 + 1))
+    codes, starts, counts = np.unique(triple[order], return_index=True, return_counts=True)
     comp = {}
-    for t, (A, B, C) in enumerate(product(objs, repeat=3)):
+    for t, lo, m in zip(codes.tolist(), starts.tolist(), counts.tolist()):
+        A, B, C = objs[t // (n * n)], objs[t // n % n], objs[t % n]
         comp[(A, B, C)] = T = np.zeros((dims[(A, B)], dims[(B, C)], dims[(A, C)]), dtype=complex)
-        sel = order[bounds[t]:bounds[t + 1]]
+        sel = order[lo:lo + m]
         T[i[sel], j[sel], k[sel]] = v[sel]
 
     star = S._inverses()
-    invol = {}
-    for A, B in product(objs, repeat=2):
-        if A == B:
-            invol[(A, B)] = np.eye(dims[(A, B)], dtype=complex)
-        else:
-            ps = S._offset[(A, B)] + np.arange(dims[(A, B)])
+    invol = {(A, A): np.eye(dims[(A, A)], dtype=complex) for A in objs}
+    for (A, B), pts in S.points.items():
+        if pts:
+            ps = S._offset[(A, B)] + np.arange(len(pts))
             invol[(A, B)] = J = np.zeros((dims[(B, A)], dims[(A, B)]), dtype=complex)
             J[loc[star[ps]], loc[ps]] = S._nu[ps]
 
@@ -194,6 +194,8 @@ def spectral_spaceoid(C: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL):
 
     points, gens, funcs, norms = {}, {}, {}, {}
     for A, B in C.off_diagonal_pairs():
+        if not C.dim(A, B):
+            continue  # no points; the spaceoid reads the Hom-set as empty
         matching = C.corner_matching(A, B, tol)
         ps, shape = sorted(matching), (len(matching), C.dim(A, B))
         gens[(A, B)] = np.array([matching[p][1] for p in ps], dtype=complex).reshape(shape)
@@ -216,8 +218,8 @@ def spectral_spaceoid(C: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL):
     N, width = len(S._handles), max(C.dims.values())
     rows = {key: slice(S._offset[key], S._offset[key] + len(pts)) for key, pts in S.points.items()}
     (gen, functional), scale = np.zeros((2, N, width), dtype=complex), np.ones(N)
-    for key, at in rows.items():
-        d = C.dim(*key)
+    for key in gens:
+        at, d = rows[key], C.dim(*key)
         gen[at, :d], functional[at, :d], scale[at] = gens[key], funcs[key], norms[key]
     U = gen / scale[:, None]
     mags = np.abs(U)
@@ -232,7 +234,8 @@ def spectral_spaceoid(C: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL):
     star, W = S._star, np.zeros((N, width), dtype=complex)
     for (A, B), at in rows.items():
         gd.frames[(A, B)], gd.hat[(A, B)] = frame[at, :C.dim(A, B)], hat[at, :C.dim(A, B)].T
-        W[at, :C.dim(B, A)] = np.conj(gd.frames[(A, B)]) @ C.invol[(A, B)].T
+        if (A, B) in gens:
+            W[at, :C.dim(B, A)] = np.conj(gd.frames[(A, B)]) @ C.invol[(A, B)].T
     nu, (nu_res, nu_bound) = np.zeros(N, dtype=complex), np.zeros((2, N))
     has = np.flatnonzero(star >= 0)
     nu[has], nu_res[has], nu_bound[has] = _project(frame[star[has]], W[has], tol)

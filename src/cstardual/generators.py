@@ -73,16 +73,8 @@ def _sample_skeleton(rng, params):
 
 
 def _points_from_links(objects, links):
-    points = {}
-    for A, B in product(objects, repeat=2):
-        if A == B:
-            continue
-        pts = []
-        for link in links:
-            if A in link and B in link:
-                pts.append((link[A], link[B]))
-        points[(A, B)] = pts
-    return points
+    return {(A, B): [(link[A], link[B]) for link in links if A in link and B in link]
+            for A, B in product(objects, repeat=2) if A != B}
 
 
 def gen_spaceoid(params: GenParams) -> FiniteSpaceoid:
@@ -151,24 +143,18 @@ def scramble_category(cat: FiniteCStarCategory, rng, mode: str):
             (A, B): np.eye(cat.dim(A, B), dtype=complex) for A, B in cat.hom_pairs()}
         return cat, transforms
     make = _random_unitary if mode == "unitary" else _random_invertible
-    transforms = {}
-    for A, B in sorted(cat.hom_pairs()):
-        transforms[(A, B)] = make(rng, cat.dim(A, B))
+    transforms = {(A, B): make(rng, cat.dim(A, B)) for A, B in sorted(cat.hom_pairs())}
     return _transport_category(cat, transforms), transforms
 
 
 def _transport_category(cat: FiniteCStarCategory, transforms):
     """The category in the bases given per Hom-set by the columns of ``transforms``."""
     inv = {key: np.linalg.inv(T) if T.size else T for key, T in transforms.items()}
-    comp = {}
-    for A, B, C in product(cat.objects, repeat=3):
-        comp[(A, B, C)] = np.einsum(
-            "ip,jq,ijk,rk->pqr",
-            transforms[(A, B)], transforms[(B, C)], cat.comp[(A, B, C)],
-            inv[(A, C)], optimize=True)
-    invol = {}
-    for A, B in cat.hom_pairs():
-        invol[(A, B)] = inv[(B, A)] @ cat.invol[(A, B)] @ np.conj(transforms[(A, B)])
+    comp = {(A, B, C): np.einsum("ip,jq,ijk,rk->pqr", transforms[(A, B)], transforms[(B, C)],
+                                 T, inv[(A, C)], optimize=True)
+            for (A, B, C), T in cat.comp.items()}
+    invol = {(A, B): inv[(B, A)] @ J @ np.conj(transforms[(A, B)])
+             for (A, B), J in cat.invol.items()}
     units = {A: inv[(A, A)] @ cat.unit(A) for A in cat.objects}
     return FiniteCStarCategory(cat.objects, dict(cat.dims), comp, invol, units)
 
@@ -292,8 +278,6 @@ def gen_functor_pair(params: GenParams, tol: Tolerance = DEFAULT_TOL):
 
 def _transport_functor(F: StarFunctor, src_s, tgt_s, Tsrc, Ttgt):
     inv_tgt = {key: np.linalg.inv(T) if T.size else T for key, T in Ttgt.items()}
-    homs = {}
-    for A, B in F.source.hom_pairs():
-        key2 = F.image_pair(A, B)
-        homs[(A, B)] = inv_tgt[key2] @ F.hom_maps[(A, B)] @ Tsrc[(A, B)]
+    homs = {(A, B): inv_tgt[F.image_pair(A, B)] @ F.hom_maps[(A, B)] @ Tsrc[(A, B)]
+            for A, B in F.source.hom_pairs()}
     return StarFunctor(src_s, tgt_s, dict(F.obj_map), homs)

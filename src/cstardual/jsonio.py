@@ -19,7 +19,8 @@ import sys
 
 import numpy as np
 
-from .cstarcat import FiniteCStarCategory, HilbertBimodule, StarFunctor, one_object_category
+from .cstarcat import (FiniteCStarCategory, HilbertBimodule, StarFunctor, _support_paths,
+                       one_object_category)
 from .errors import SchemaError
 from .spaceoid import FiniteSpaceoid, SpaceoidMorphism
 
@@ -148,20 +149,16 @@ def _obj_map(v, src, tgt, path):
 
 def category_to_json(cat: FiniteCStarCategory):
     objs = list(cat.objects)
-    doc = {
+    # every tensor of nonzero size, stored or read as zeros
+    return {
         "objects": objs,
         "dims": {_pair_key(A, B): cat.dim(A, B) for A in objs for B in objs},
-        "comp": {},
-        "invol": {},
+        "comp": {f"{A}|{B}|{C}": array_to_json(cat.comp[(A, B, C)])
+                 for A, B, C in _support_paths(cat, 3) if cat.dim(A, C)},
+        "invol": {_pair_key(A, B): array_to_json(cat.invol[(A, B)])
+                  for A, B in _support_paths(cat, 2) if cat.dim(B, A)},
         "units": {A: array_to_json(cat.unit(A)) for A in objs},
     }
-    for (A, B, C), T in sorted(cat.comp.items()):
-        if T.size:
-            doc["comp"][f"{A}|{B}|{C}"] = array_to_json(T)
-    for (A, B), J in sorted(cat.invol.items()):
-        if J.size:
-            doc["invol"][_pair_key(A, B)] = array_to_json(J)
-    return doc
 
 
 def category_from_json(doc, path="category"):
@@ -174,12 +171,10 @@ def category_from_json(doc, path="category"):
     for A in objs:
         for B in objs:
             _expect((A, B) in dims, f"{path}.dims", f"missing '{A}|{B}'")
-    comp = {}
-    for (A, B, C), here, val in _labelled(doc.get("comp", {}), 3, objs, f"{path}.comp"):
-        comp[(A, B, C)] = json_to_array(val, (dims[(A, B)], dims[(B, C)], dims[(A, C)]), here)
-    invol = {}
-    for (A, B), here, val in _labelled(doc.get("invol", {}), 2, objs, f"{path}.invol"):
-        invol[(A, B)] = json_to_array(val, (dims[(B, A)], dims[(A, B)]), here)
+    comp = {(A, B, C): json_to_array(val, (dims[(A, B)], dims[(B, C)], dims[(A, C)]), here)
+            for (A, B, C), here, val in _labelled(doc.get("comp", {}), 3, objs, f"{path}.comp")}
+    invol = {(A, B): json_to_array(val, (dims[(B, A)], dims[(A, B)]), here)
+             for (A, B), here, val in _labelled(doc.get("invol", {}), 2, objs, f"{path}.invol")}
     doc_units = _object(doc["units"], f"{path}.units", *objs)
     units = {A: json_to_array(doc_units[A], (dims[(A, A)],), f"{path}.units.{A}")
              for A in objs}

@@ -1,5 +1,9 @@
+import ast
+import gc
 import time
+import weakref
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from cstardual.cstarcat import (
     linking_category,
     validate_category,
 )
+from cstardual import jsonio
 from cstardual.duality import check_gelfand_isomorphism, gelfand_transform
 from cstardual.errors import (BimoduleAxiomViolation, CornerDimensionExceedsOne, CstarDualError,
                              DiagonalNotSemisimple, HolonomyViolation)
@@ -673,3 +678,179 @@ class TestSupportWalk:
         report = validate_category(cat)
         assert time.perf_counter() - start < 1.0
         assert report.ok
+
+
+# ---------------------------------------------------------------------------
+# zero Hom-sets are implicit
+# ---------------------------------------------------------------------------
+
+def reference_pair_sweeps(cat, tol):
+    """The per-pair loops of ``validate_category`` before they walked the
+    support: every Hom pair, zero or not, in record order."""
+    tmax = max([1.0] + [max_abs(T) for T in cat.comp.values()])
+    jmax = max([1.0] + [max_abs(J) for J in cat.invol.values()])
+    atol = tol.axiom(tmax, jmax)
+    records = []
+    for A, B in cat.hom_pairs():
+        eye = np.eye(cat.dim(A, B))
+        left = np.einsum("i,ijk->kj", cat.unit(A), cat.comp[(A, A, B)])
+        right = np.einsum("j,ijk->ki", cat.unit(B), cat.comp[(A, B, B)])
+        dev = max(max_abs(left - eye), max_abs(right - eye))
+        records.append(("unit_law", f"({A},{B})", dev, dev <= atol))
+    for A, B in cat.hom_pairs():
+        dev = max_abs(cat.invol[(B, A)] @ np.conj(cat.invol[(A, B)]) - np.eye(cat.dim(A, B)))
+        records.append(("involution_involutive", f"({A},{B})", dev, dev <= atol))
+    return records
+
+
+def reference_functor_involution(F, tol):
+    """The involution loop of ``check_star_functor`` over every Hom pair."""
+    src, tgt = F.source, F.target
+    hmax = max([1.0] + [max_abs(H) for H in F.hom_maps.values()])
+    tmax = max([1.0] + [max_abs(T) for T in src.comp.values()]
+               + [max_abs(T) for T in tgt.comp.values()])
+    atol = tol.axiom(hmax, tmax)
+    records = []
+    for A, B in src.hom_pairs():
+        lhs = F.hom_maps[(B, A)] @ src.invol[(A, B)]
+        rhs = tgt.invol[F.image_pair(A, B)] @ np.conj(F.hom_maps[(A, B)])
+        dev = max_abs(lhs - rhs)
+        records.append(("functor_involution", f"({A},{B})", dev, dev <= atol))
+    return records
+
+
+def _dense_keys(cat):
+    """Every comp and invol key whose tensor has nonzero size."""
+    comp = [(A, B, C) for A, B, C in product(cat.objects, repeat=3)
+            if cat.dim(A, B) * cat.dim(B, C) * cat.dim(A, C)]
+    invol = [(A, B) for A, B in product(cat.objects, repeat=2) if cat.dim(A, B) * cat.dim(B, A)]
+    return comp, invol
+
+
+# five objects whose sections have Hom triples of nonzero size and no
+# structure constant: the pairs there never share a base point
+UNCOMPOSED = GenParams(seed=31, n_objects=5, max_base=3, edge_density=0.6, phase_mode="random")
+
+
+class TestImplicitZeros:
+    @pytest.mark.parametrize("scramble", ["none", "unitary"])
+    def test_only_nonzero_tensors_are_stored(self, scramble):
+        ring, _ = scramble_category(ring_sections(12), Xoshiro256StarStar(12), scramble)
+        for cat in (ring, split_square_category(), gen_category(UNCOMPOSED)[0]):
+            assert all(T.size for T in cat.comp.values())
+            assert all(J.size for J in cat.invol.values())
+            for A, B, C in product(cat.objects, repeat=3):
+                T = cat.comp[(A, B, C)]
+                assert T.shape == (cat.dim(A, B), cat.dim(B, C), cat.dim(A, C))
+                assert (A, B, C) in cat.comp or not np.any(T)
+            for A, B in cat.hom_pairs():
+                assert cat.invol[(A, B)].shape == (cat.dim(B, A), cat.dim(A, B))
+            assert cat.out == {A: [B for B in cat.objects if cat.dim(A, B)] for A in cat.objects}
+        assert len(ring.comp) < 12 ** 2 and len(ring.invol) == 3 * 12
+        with pytest.raises(KeyError):
+            ring.comp[("O000", "O001", "Z")]
+
+    def test_declared_zero_tensors_are_dropped(self):
+        cat = split_square_category()
+        comp = dict(cat.comp)
+        comp[("A", "C", "A")] = np.zeros((0, 0, 1))
+        comp[("A", "B", "C")] = np.zeros((1, 1, 0))
+        rebuilt = FiniteCStarCategory(cat.objects, cat.dims, comp, cat.invol, cat.units)
+        assert set(rebuilt.comp) == set(cat.comp)
+        assert validate_category(rebuilt).ok
+
+    @pytest.mark.parametrize("field", ["comp", "invol"])
+    def test_undeclared_object_raises(self, field):
+        cat = split_square_category()
+        key = {"comp": ("A", "B", "Z"), "invol": ("Z", "A")}[field]
+        given = {"comp": dict(cat.comp), "invol": dict(cat.invol)}
+        given[field][key] = np.zeros((1, 1, 1) if field == "comp" else (1, 1))
+        with pytest.raises(ValueError, match="does not name declared objects"):
+            FiniteCStarCategory(cat.objects, cat.dims, given["comp"], given["invol"], cat.units)
+
+    def test_json_lists_every_nonzero_size_tensor(self):
+        cat, _ = gen_category(UNCOMPOSED)
+        comp, invol = _dense_keys(cat)
+        assert len(cat.comp) < len(comp)  # some stored nowhere, read as zeros
+        doc = jsonio.category_to_json(cat)
+        assert set(doc["comp"]) == {"|".join(key) for key in comp}
+        assert set(doc["invol"]) == {"|".join(key) for key in invol}
+        back = jsonio.category_from_json(doc)
+        for key in comp:
+            assert np.array_equal(back.comp[key], cat.comp[key])
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_pair_sweeps_match_dense_loops(self, seed):
+        for involution in (False, True):
+            cat = perturbed_category(seed, ("unitary", "invertible")[seed % 2], involution)
+            assert_sweeps_match(lambda tol: validate_category(cat, tol),
+                                lambda tol: reference_pair_sweeps(cat, tol))
+        phi, _ = gen_functor_pair(GenParams(seed=seed, n_objects=2 + seed % 4, max_base=3,
+                                            edge_density=0.6, scramble="unitary"))
+        homs = {k: H.copy() for k, H in phi.hom_maps.items()}
+        key = max(k for k, H in homs.items() if H.size)
+        homs[key].reshape(-1)[seed % homs[key].size] += 0.3
+        for F in (phi, StarFunctor(phi.source, phi.target, phi.obj_map, homs)):
+            assert_sweeps_match(lambda tol: check_star_functor(F, tol),
+                                lambda tol: reference_functor_involution(F, tol))
+
+    def test_non_full_pair_sweeps_match_dense_loops(self):
+        ring, _ = scramble_category(ring_sections(6), Xoshiro256StarStar(6), "invertible")
+        units = {A: u + 0.25 for A, u in ring.units.items()}
+        mutant = FiniteCStarCategory(ring.objects, ring.dims, ring.comp, ring.invol, units)
+        square = split_square_category()
+        for cat in (ring, mutant, square):
+            assert_sweeps_match(lambda tol: validate_category(cat, tol),
+                                lambda tol: reference_pair_sweeps(cat, tol))
+        for F in (gelfand_transform(ring), gelfand_transform(square), identity_functor(mutant)):
+            assert_sweeps_match(lambda tol: check_star_functor(F, tol),
+                                lambda tol: reference_functor_involution(F, tol))
+        assert any(f.check == "unit_law" for f in validate_category(mutant).failures)
+
+    def test_spectrum_skips_zero_hom_sets(self):
+        cat, _ = scramble_category(ring_sections(12), Xoshiro256StarStar(12), "unitary")
+        S, G = spectral_spaceoid(cat)
+        assert cat._matchings and all(cat.dim(A, B) for A, B, _ in cat._matchings)
+        for A, B in cat.off_diagonal_pairs():
+            assert G.hat[(A, B)].shape == G.frames[(A, B)].shape == (cat.dim(A, B),) * 2
+        assert sum(len(pts) for pts in S.points.values()) == 2 * 12
+
+    def test_category_is_freed_without_the_collector(self):
+        # a closure over the category would put it in a reference cycle, and
+        # keep its tensors alive until the next collection
+        cat, _ = gen_category(UNCOMPOSED)
+        assert validate_category(cat).ok
+        ref = weakref.ref(cat)
+        gc.disable()
+        try:
+            del cat
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_many_object_ring_scrambles_fast(self):
+        # transporting every one of the 48^3 triples took about 9 s on 2 cores
+        cat = ring_sections(48)
+        start = time.perf_counter()
+        scrambled, _ = scramble_category(cat, Xoshiro256StarStar(48), "unitary")
+        assert time.perf_counter() - start < 1.0
+        assert validate_category(scrambled).ok
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "cstardual"
+
+
+def test_no_dense_object_tuple_loops():
+    """No code in ``src/`` loops over all object triples or quadruples with
+    ``product(..., repeat=k)``, k >= 3: such sweeps walk the support index."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            for kw in node.keywords:
+                if (name == "product" and kw.arg == "repeat" and isinstance(kw.value, ast.Constant)
+                        and kw.value.value >= 3):
+                    found.append((path.name, node.lineno))
+    assert found == []
