@@ -28,7 +28,7 @@ from .functors import (
     sigma_on_morphism,
     spectral_spaceoid,
 )
-from .numlin import DEFAULT_TOL, Tolerance, max_abs, numeric_rank
+from .numlin import DEFAULT_TOL, Tolerance, max_abs, nearest_rows, numeric_rank
 from .spaceoid import (
     FiniteSpaceoid,
     SpaceoidMorphism,
@@ -136,19 +136,12 @@ def evaluation_transform(S: FiniteSpaceoid, tol: Tolerance = DEFAULT_TOL,
     base_maps = {}
     for A in S.objects:
         basis = sorted(S.base_sets[A])
-        omega = G.diag[A]
-        bm = {}
-        for i, x in enumerate(basis):
-            # evaluation at x is the coordinate-projection character
-            values = np.zeros(len(basis))
-            values[i] = 1.0
-            devs = [max_abs(row - values) for row in omega]
-            k = int(np.argmin(devs))
-            if devs[k] > tol.residual():
-                raise InvalidCategory(
-                    f"no spectrum character matches evaluation at ({A},{x})")
-            bm[x] = G.point_label(A, k)
-        base_maps[A] = bm
+        # evaluation at the i-th base point is the i-th coordinate-projection character
+        best, dev = nearest_rows(G.diag[A], np.eye(len(basis)))
+        for i in np.flatnonzero(dev > tol.residual())[:1]:
+            raise InvalidCategory(
+                f"no spectrum character matches evaluation at ({A},{basis[i]})")
+        base_maps[A] = {x: G.point_label(A, k) for x, k in zip(basis, best.tolist())}
 
     m = SpaceoidMorphism(S, S2, {A: A for A in S.objects}, base_maps, {})
     # the transform carries the frame section to its value at h: the
@@ -229,8 +222,6 @@ class BimoduleSpectrum:
     left_support: list          # left char indices hit by the bijection
     right_support: list
     iso: np.ndarray             # (n_points, module_dim)
-    section_category: FiniteCStarCategory
-    spaceoid: FiniteSpaceoid
     gelfand: StarFunctor
 
     def full_left(self) -> bool:
@@ -270,8 +261,6 @@ def bimodule_spectrum(M: HilbertBimodule, tol: Tolerance = DEFAULT_TOL) -> Bimod
         left_support=sorted({p for p, _ in pairs}),
         right_support=sorted({q for _, q in pairs}),
         iso=F.hom_maps[(A, B)].copy(),
-        section_category=F.target,
-        spaceoid=S,
         gelfand=F,
     )
 

@@ -19,14 +19,6 @@ class NoConvergence(CstarDualError):
     pass
 
 
-class NotCommuting(CstarDualError):
-    pass
-
-
-class NotNormal(CstarDualError):
-    pass
-
-
 # -- categories, characters, corners ---------------------------------------
 
 class DiagonalNotSemisimple(CstarDualError):

@@ -26,7 +26,7 @@ from .errors import (
     InvalidMorphism,
     InvalidSpaceoid,
 )
-from .numlin import DEFAULT_TOL, Tolerance, max_abs
+from .numlin import DEFAULT_TOL, Tolerance, nearest_rows
 from .spaceoid import (DIAGONAL, NO_COMPOSITE, FiniteSpaceoid, SpaceoidMorphism, _runs,
                        validate_morphism, validate_spaceoid)
 
@@ -279,16 +279,6 @@ def spectral_spaceoid(C: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL):
 # spectrum functor, on morphisms (contravariant)
 # ---------------------------------------------------------------------------
 
-def _match_character(omega_rows, values, context, tol):
-    devs = [max_abs(row - values) for row in omega_rows]
-    best = int(np.argmin(devs))
-    if devs[best] > tol.residual(1.0 + max_abs(values)):
-        raise InvalidMorphism(
-            f"no character matches the pulled-back functional at {context} "
-            f"(best deviation {devs[best]:g})")
-    return best
-
-
 def sigma_on_morphism(F: StarFunctor, tol: Tolerance = DEFAULT_TOL,
                       spectra=None) -> SpaceoidMorphism:
     """Spectrum of a non-degenerate *-functor.
@@ -314,13 +304,15 @@ def sigma_on_morphism(F: StarFunctor, tol: Tolerance = DEFAULT_TOL,
     base_maps = {}
     for A2 in tgt.objects:
         A = inv_obj[A2]
-        omega_src = G1.diag[A]
-        bm = {}
-        for k, row in enumerate(G2.diag[A2]):
-            pull = row @ F.hom_maps[(A, A)]
-            idx = _match_character(omega_src, pull, f"({A2}, char {k})", tol)
-            bm[G2.point_label(A2, k)] = G1.point_label(A, idx)
-        base_maps[A2] = bm
+        pull = G2.diag[A2] @ F.hom_maps[(A, A)]
+        best, dev = nearest_rows(G1.diag[A], pull)
+        bound = tol.residual(1.0 + np.abs(pull).max(axis=1, initial=0.0))
+        for k in np.flatnonzero(dev > bound)[:1]:
+            raise InvalidMorphism(
+                f"no character matches the pulled-back functional at ({A2}, char {k}) "
+                f"(best deviation {dev[k]:g})")
+        base_maps[A2] = {G2.point_label(A2, k): G1.point_label(A, idx)
+                         for k, idx in enumerate(best.tolist())}
 
     m = SpaceoidMorphism(S2, S1, inv_obj, base_maps, {})
     # per Hom-set of S2: the image frames through the functor, cut down by

@@ -6,10 +6,9 @@ random-combination technique: eigendecompose a seeded random real
 combination of the Hermitian and anti-Hermitian parts, all projected at once,
 and recurse on degenerate eigenvalue clusters.  It checks nothing beforehand;
 its certificate is the check afterwards that the unitary diagonalizes every
-matrix, which proves the family commuting and normal.  The public
-``simultaneous_diag`` also checks normality and commutation first, so that a
-failure there is NotNormal or NotCommuting.  Canonical orders are one
-``np.lexsort`` over (re, im) columns (``lex_order``).
+matrix, which proves the family commuting and normal, and a family that fails
+it raises NoConvergence.  Canonical orders are one ``np.lexsort`` over
+(re, im) columns (``lex_order``).
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotCommuting, NotHermitian, NotNormal, NotSquare
+from .errors import NoConvergence, NotHermitian, NotSquare
 from .rng import Xoshiro256StarStar
 
 _SIMDIAG_SEED = 0x51DE0C1E
@@ -40,8 +39,8 @@ class Tolerance:
       of structure tensors with largest entries ``s``.
     - ``character(s) = 1e3 abs_eps s^2``, ``s = 1 + max|omega|`` [1e-6 s^2]:
       characters are multiplicative and unital; closer than ten times it, equal.
-    - ``kernel(*s) = 1e2 abs_eps prod(s)``: Hermitian and diagonalized
-      (``max(1, |M|)``), normal (``s^2``) and commuting (``s_i, s_j``).
+    - ``kernel(*s) = 1e2 abs_eps prod(s)``: Hermitian and diagonalized, with
+      ``s = max(1, |M|)``.
     - ``rank(top) = rel_eps top + abs_eps``: singular and Gram eigenvalues count.
     - ``residual(s) = 1e-6 r s``: corner, projection, norm and naturality
       residuals, pulled-back functionals, character matches, eigenvalue
@@ -132,25 +131,12 @@ def numeric_rank(M, tol: Tolerance = DEFAULT_TOL) -> int:
     return int(np.sum(sing > tol.rank(sing[0])))
 
 
-def _check_family(Ms, tol: Tolerance):
-    mats = [_as_square(M) for M in Ms]
-    if not mats:
-        raise ValueError("simultaneous_diag needs at least one matrix")
-    n = mats[0].shape[0]
-    for M in mats:
-        if M.shape[0] != n:
-            raise NotSquare("matrices must share one size")
-    scales = [max(1.0, max_abs(M)) for M in mats]
-    for i, M in enumerate(mats):
-        dev = max_abs(M @ M.conj().T - M.conj().T @ M)
-        if dev > tol.kernel(scales[i] ** 2):
-            raise NotNormal(f"matrix {i} is not normal (deviation {dev:g})")
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            dev = max_abs(mats[i] @ mats[j] - mats[j] @ mats[i])
-            if dev > tol.kernel(scales[i], scales[j]):
-                raise NotCommuting(f"matrices {i},{j} do not commute (deviation {dev:g})")
-    return mats, n
+def nearest_rows(rows, targets):
+    """For each row of ``targets``, the index of the nearest row of ``rows``
+    in the largest entry modulus (the first on ties) and its deviation."""
+    dev = np.abs(np.asarray(targets)[:, None] - np.asarray(rows)[None]).max(axis=2, initial=0.0)
+    best = np.argmin(dev, axis=1)
+    return best, dev[np.arange(len(best)), best]
 
 
 def lex_order(rows):
@@ -215,17 +201,3 @@ def joint_diagonalize(mats, tol: Tolerance = DEFAULT_TOL):
         raise NoConvergence(f"matrix {i} not diagonalized (off-diagonal {off[i]:g})")
     order = lex_order(tuples.T)
     return U[:, order], tuples[:, order]
-
-
-def simultaneous_diag(Ms, tol: Tolerance = DEFAULT_TOL):
-    """Joint unitary diagonalizer of pairwise-commuting normal matrices.
-
-    Returns a unitary ``U`` such that every ``U* M U`` is diagonal within
-    ``tol.kernel(max(1, |M|))``.  Raises NotCommuting / NotNormal when the
-    preconditions fail and NoConvergence when the seeded random-combination
-    recursion cannot separate the family.
-    """
-    mats, n = _check_family(Ms, tol)
-    if n == 0:
-        return np.zeros((0, 0), dtype=complex)
-    return joint_diagonalize(mats, tol)[0]

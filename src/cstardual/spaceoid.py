@@ -51,13 +51,16 @@ class FiniteSpaceoid:
     ----------
     objects : iterable of labels.
     base_sets : dict label -> iterable of base point labels (nonempty).
-    points : dict (A, B) -> list of (target, source) label pairs, A != B.
-        Lists are normalized to the canonical order sorted by (t, s); the
-        ``nu``/``cphase`` keys index the lists as given.
+    points : dict (A, B) -> list of (target, source) label pairs, A != B
+        declared objects.  Lists are normalized to the canonical order sorted
+        by (t, s); the ``nu``/``cphase`` keys index the lists as given.
     nu : dict (A, B, i) -> complex involution phase, defaults to 1.
     cphase : dict ((A,B,i), (B,C,j)) -> complex composition phase for
         composable off-diagonal pairs, defaults to 1; ``ValueError`` on a
         pair that does not compose.
+
+    A key of ``points``, ``nu`` or ``cphase`` that names no off-diagonal
+    Hom-set or no given point raises ``ValueError`` naming the key.
     """
 
     def __init__(self, objects, base_sets, points, nu=None, cphase=None):
@@ -71,13 +74,16 @@ class FiniteSpaceoid:
                 raise ValueError(f"duplicate base labels at {A}")
             self.base_sets[A] = labels
             self._codes[A] = {x: k for k, x in enumerate(sorted(labels))}
-        self.points, given = {}, {}
-        for A, B in product(self.objects, repeat=2):
-            if A != B:
-                raw = [(str(t), str(s)) for t, s in points.get((A, B), [])]
+        self.points = {(A, B): [] for A, B in product(self.objects, repeat=2) if A != B}
+        given = {}  # per nonempty Hom(A,B): canonical place of each given point
+        for key, pts in points.items():
+            if key not in self.points:
+                raise ValueError(f"points key {key!r} does not name two distinct declared objects")
+            raw = [(str(t), str(s)) for t, s in pts]
+            if raw:
                 order = sorted(range(len(raw)), key=raw.__getitem__)
-                self.points[(A, B)] = [raw[k] for k in order]
-                given[(A, B)] = np.argsort(np.array(order, dtype=int))
+                self.points[key] = [raw[k] for k in order]
+                given[key] = np.argsort(order)
 
         self._object_index = {A: a for a, A in enumerate(self.objects)}
         self._handles, self._offset, cols, codes = [], {}, [], self._codes
@@ -115,16 +121,19 @@ class FiniteSpaceoid:
         r = self._find(a, c, self._tlab[self._p], self._slab[self._q])
         self._r = np.where(a == c, DIAGONAL, np.where(r < 0, NO_COMPOSITE, r))
 
-        def number(handle):
+        def number(handle, what, key):
             A, B, i = handle
+            if (A, B) not in given or not 0 <= i < len(given[(A, B)]):
+                raise ValueError(f"{what} key {key!r} does not name a point")
             return self._offset[(A, B)] + int(given[(A, B)][i])
 
         self._nu = np.ones(n, dtype=complex)
         for handle, value in (nu or {}).items():
-            self._nu[number(handle)] = complex(value)
+            self._nu[number(handle, "nu", handle)] = complex(value)
         self._c = np.ones(len(self._p), dtype=complex)
         keys = list(cphase or {})
-        ends = np.array([[number(h1), number(h2)] for h1, h2 in keys], dtype=np.int64)
+        ends = np.array([[number(h1, "cphase", (h1, h2)), number(h2, "cphase", (h1, h2))]
+                         for h1, h2 in keys], dtype=np.int64)
         rows = self._row(*ends.reshape(-1, 2).T)
         for k in np.flatnonzero(rows < 0)[:1]:
             raise ValueError(f"phase on {keys[k][0]},{keys[k][1]}, which do not compose")

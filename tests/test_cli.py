@@ -11,9 +11,10 @@ import pytest
 from cstardual import duality, jsonio
 from cstardual.cli import main
 from cstardual.errors import SchemaError
-from cstardual.generators import (GenParams, gen_category, gen_morphism_pair, gen_spaceoid,
-                                  scramble_category)
-from cstardual.cstarcat import StarFunctor, check_star_functor, identity_functor
+from cstardual.generators import (GenParams, _transport_category, gen_category,
+                                  gen_morphism_pair, gen_spaceoid, scramble_category)
+from cstardual.cstarcat import (FiniteCStarCategory, StarFunctor, check_star_functor,
+                                identity_functor)
 from cstardual.functors import sections_category, spectral_spaceoid
 from cstardual.rng import Xoshiro256StarStar
 from cstardual.spaceoid import FiniteSpaceoid
@@ -617,3 +618,30 @@ class TestCertifiedVerdicts:
             spectrum = tmp_path / "spectrum.json"
             spectrum.write_text(jsonio.dump_json(json.loads(out)["spaceoid"]))
             assert main(["validate", "--input", str(spectrum)]) == 0
+
+    @pytest.mark.parametrize("involution", [False, True])
+    @pytest.mark.parametrize("scramble", ["unitary", "invertible"])
+    @pytest.mark.parametrize("seed", range(50))
+    def test_spectrum_verdict_is_basis_and_label_free(self, tmp_path, seed, scramble,
+                                                      involution):
+        """The ``spectrum`` exit code does not change under a random basis
+        permutation per Hom-set or under reversed object labels."""
+        cat = perturbed_category(seed, scramble, involution)
+        rng = np.random.default_rng(seed)
+        permuted = _transport_category(cat, {
+            key: np.eye(cat.dim(*key))[:, rng.permutation(cat.dim(*key))]
+            for key in cat.hom_pairs()})
+        ren = dict(zip(cat.objects, reversed(cat.objects)))
+        relabel = lambda tensors: {tuple(ren[A] for A in key): T for key, T in tensors.items()}
+        reversed_labels = FiniteCStarCategory(
+            [ren[A] for A in cat.objects], relabel(cat.dims), relabel(cat.comp),
+            relabel(cat.invol), {ren[A]: u for A, u in cat.units.items()})
+
+        def spectrum_code(category):
+            path = tmp_path / "cat.json"
+            path.write_text(jsonio.dump_json(jsonio.category_to_json(category)))
+            return main(["--format", "json", "spectrum", "--input", str(path)])
+
+        code = spectrum_code(cat)
+        assert spectrum_code(permuted) == code
+        assert spectrum_code(reversed_labels) == code

@@ -11,6 +11,7 @@ from cstardual.duality import (
     evaluation_transform,
     gelfand_transform,
 )
+from cstardual.errors import InvalidCategory
 from cstardual.functors import sections_category, spectral_spaceoid
 from cstardual.generators import (
     GenParams,
@@ -100,6 +101,13 @@ class TestEvaluationTransform:
         assert sorted(len(v) for v in m.target.base_sets.values()) == \
             sorted(len(v) for v in S2.base_sets.values())
         assert validate_morphism(m).ok
+
+    def test_spectrum_in_another_basis_rejected(self, e1_spaceoid):
+        # a scrambled basis moves the characters off the coordinate projections
+        cat, _ = scramble_category(sections_category(e1_spaceoid), Xoshiro256StarStar(3),
+                                   "unitary")
+        with pytest.raises(InvalidCategory, match=r"evaluation at \(A,1\)"):
+            evaluation_transform(e1_spaceoid, spectrum=spectral_spaceoid(cat))
 
     def test_invertible_on_generated(self):
         for seed in range(12):

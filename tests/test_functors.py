@@ -13,7 +13,7 @@ from cstardual.cstarcat import (
     validate_category,
 )
 from cstardual.errors import (CornerDimensionExceedsOne, CstarDualError, DegenerateFunctor,
-                             HolonomyViolation, InvalidSpaceoid)
+                             HolonomyViolation, InvalidMorphism, InvalidSpaceoid)
 from cstardual.functors import (
     GelfandData,
     gamma_on_morphism,
@@ -204,6 +204,15 @@ class TestSigmaOnMorphism:
     def test_footnote_embedding_rejected(self, footnote_embedding):
         with pytest.raises(DegenerateFunctor):
             sigma_on_morphism(footnote_embedding)
+
+    def test_unmatched_pulled_back_character_rejected(self):
+        from cstardual.cstarcat import StarFunctor
+        from conftest import functions_algebra
+        # both characters of the target pull back to (0.5, 0.5), no character
+        F = StarFunctor(functions_algebra(2), functions_algebra(2), {"A": "A"},
+                        {("A", "A"): np.full((2, 2), 0.5)})
+        with pytest.raises(InvalidMorphism, match=r"at \(A, char 0\) \(best deviation 0.5\)"):
+            sigma_on_morphism(F)
 
     def test_unit_rescaling_of_e1_sections(self, e1_spaceoid):
         cat = sections_category(e1_spaceoid)

@@ -6,19 +6,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cstardual.errors import (
-    NotCommuting,
+    NoConvergence,
     NotHermitian,
-    NotNormal,
     NotSquare,
 )
 from cstardual.numlin import (
     DEFAULT_TOL,
     Tolerance,
     hermitian_eig,
+    joint_diagonalize,
     lex_order,
     max_abs,
+    nearest_rows,
     numeric_rank,
-    simultaneous_diag,
 )
 
 
@@ -74,15 +74,15 @@ class TestHermitianEig:
 
 class TestSimultaneousDiag:
     def test_single_identity(self):
-        assert np.array_equal(simultaneous_diag([np.eye(2)]), np.eye(2))
+        assert np.array_equal(joint_diagonalize([np.eye(2)])[0], np.eye(2))
 
     def test_already_diagonal(self):
-        U = simultaneous_diag([np.diag([1.0, 2.0]), np.diag([3.0, 3.0])])
+        U = joint_diagonalize([np.diag([1.0, 2.0]), np.diag([3.0, 3.0])])[0]
         assert np.array_equal(U, np.eye(2))
 
     def test_pauli_x_with_identity(self):
         X = np.array([[0, 1], [1, 0]], dtype=complex)
-        U = simultaneous_diag([X, np.eye(2)])
+        U = joint_diagonalize([X, np.eye(2)])[0]
         D = U.conj().T @ X @ U
         assert max_abs(D - np.diag(np.diag(D))) < 1e-10
         assert sorted(np.round(np.diag(D).real, 8)) == [-1.0, 1.0]
@@ -94,7 +94,7 @@ class TestSimultaneousDiag:
         diags = [np.diag([0, 0, 0, 1, 1, 2.0]), np.diag([0, 1, 1, 0, 2, 2.0]),
                  np.diag([3, 3, 1, 1, 0, 0.0])]
         Ms = [Q @ D @ Q.conj().T for D in diags]
-        U = simultaneous_diag(Ms)
+        U = joint_diagonalize(Ms)[0]
         for M in Ms:
             D = U.conj().T @ M @ U
             assert max_abs(D - np.diag(np.diag(D))) <= 100 * DEFAULT_TOL.abs_eps * 4
@@ -105,7 +105,7 @@ class TestSimultaneousDiag:
         P = np.diag([1.0, 1.0, 0.0])
         rng = np.random.default_rng(11)
         Q = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
-        U = simultaneous_diag([Q @ W @ Q.conj().T, Q @ P @ Q.conj().T])
+        U = joint_diagonalize([Q @ W @ Q.conj().T, Q @ P @ Q.conj().T])[0]
         for M in (Q @ W @ Q.conj().T, Q @ P @ Q.conj().T):
             D = U.conj().T @ M @ U
             assert max_abs(D - np.diag(np.diag(D))) < 1e-9
@@ -116,7 +116,7 @@ class TestSimultaneousDiag:
         Ms = [Q @ np.diag(rng.normal(size=4)) @ Q.conj().T for _ in range(3)]
 
         def joint(Ms):
-            U = simultaneous_diag(Ms)
+            U = joint_diagonalize(Ms)[0]
             cols = []
             for k in range(4):
                 cols.append(tuple(
@@ -130,12 +130,12 @@ class TestSimultaneousDiag:
     def test_not_commuting(self):
         X = np.array([[0, 1], [1, 0]], dtype=complex)
         Z = np.diag([1.0, -1.0])
-        with pytest.raises(NotCommuting):
-            simultaneous_diag([X, Z])
+        with pytest.raises(NoConvergence, match="not diagonalized"):
+            joint_diagonalize([X, Z])
 
     def test_not_normal(self):
-        with pytest.raises(NotNormal):
-            simultaneous_diag([np.array([[0, 1], [0, 0]], dtype=complex)])
+        with pytest.raises(NoConvergence, match="not diagonalized"):
+            joint_diagonalize([np.array([[0, 1], [0, 0]], dtype=complex)])
 
 
 class TestCanonicalOrder:
@@ -156,9 +156,23 @@ class TestCanonicalOrder:
     def test_joint_diagonalizer_columns(self):
         Ms = [np.diag([0.0, -0.0, 1.0, 0.0, 1.0]), np.diag([1.0, 2.0, 0.0, -1.0, 0.0]),
               np.diag([3.0, 1.0, 5.0, 2.0, 4.0])]
-        assert np.argmax(np.abs(simultaneous_diag(Ms)), axis=0).tolist() == [3, 0, 1, 4, 2]
+        assert np.argmax(np.abs(joint_diagonalize(Ms)[0]), axis=0).tolist() == [3, 0, 1, 4, 2]
         Ms = [np.diag([0.0, -0.0, 1.0, 0.0]), np.diag([1.0, -0.0, 0.0, 0.0])]
-        assert np.argmax(np.abs(simultaneous_diag(Ms)), axis=0).tolist() == [1, 3, 0, 2]
+        assert np.argmax(np.abs(joint_diagonalize(Ms)[0]), axis=0).tolist() == [1, 3, 0, 2]
+
+
+class TestNearestRows:
+    @given(st.integers(0, 10_000), st.integers(1, 6), st.integers(0, 6), st.integers(0, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_row_by_row_search(self, seed, n_rows, n_targets, width):
+        rng = np.random.default_rng(seed)
+        # entries from a small set, so that ties occur
+        rows = rng.integers(-2, 3, size=(n_rows, width)) + 1j * rng.integers(-1, 2, (n_rows, width))
+        targets = rng.integers(-2, 3, size=(n_targets, width)).astype(complex)
+        best, dev = nearest_rows(rows, targets)
+        for t, b, d in zip(targets, best, dev):
+            devs = [max_abs(row - t) for row in rows]
+            assert (b, d) == (int(np.argmin(devs)), min(devs))
 
 
 class TestNumericRank:
@@ -242,3 +256,19 @@ def test_thresholds_derive_from_tolerance():
                   and 0 < node.value < 1 and (path.name, node.value) not in NOT_THRESHOLDS):
                 found.append((path.name, node.lineno, node.value))
     assert found == []
+
+
+def test_numlin_public_functions_have_callers():
+    """Every public function of numlin is called from another module of
+    ``src/``: numlin keeps no entry point that no command runs."""
+    tree = ast.parse((SRC / "numlin.py").read_text())
+    public = {node.name for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    called = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "numlin.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                called.add(getattr(node.func, "id", getattr(node.func, "attr", None)))
+    assert sorted(public - called) == []

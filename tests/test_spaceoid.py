@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from dataclasses import replace
 from itertools import permutations
@@ -127,6 +128,32 @@ class TestValidateSpaceoid:
         report = validate_spaceoid(bad)
         assert [(f.check, f.witness) for f in report.failures] == failures
         assert Counter(report.checks_run) == counts
+
+
+class TestConstructorRejects:
+    """The constructor raises ValueError naming any key it cannot place."""
+
+    BASES = {"A": ["1", "2"], "B": ["1'", "2'"]}
+    LINKS = {("A", "B"): [("1", "1'")], ("B", "A"): [("1'", "1")]}
+
+    @pytest.mark.parametrize("key", [("A", "A"), ("A", "Z")])
+    def test_points_key(self, key):
+        points = dict(self.LINKS)
+        points[key] = [("1", "2")]
+        with pytest.raises(ValueError, match=re.escape(f"points key {key!r} does not name")):
+            FiniteSpaceoid(["A", "B"], self.BASES, points)
+
+    @pytest.mark.parametrize("handle", [("A", "B", -1), ("A", "B", 1), ("A", "Z", 0),
+                                        ("A", "A", 0)])
+    def test_nu_handle(self, handle):
+        with pytest.raises(ValueError, match="nu key .* does not name a point"):
+            FiniteSpaceoid(["A", "B"], self.BASES, self.LINKS, nu={handle: 1j})
+
+    @pytest.mark.parametrize("handle", [("B", "A", -1), ("B", "A", 1), ("Z", "A", 0)])
+    def test_cphase_handle(self, handle):
+        with pytest.raises(ValueError, match="cphase key .* does not name a point"):
+            FiniteSpaceoid(["A", "B"], self.BASES, self.LINKS,
+                           cphase={(("A", "B", 0), handle): 1j})
 
 
 class TestComposeMorphisms:
