@@ -12,16 +12,15 @@ import sys
 from pathlib import Path
 
 from . import duality, jsonio
-from .cstarcat import ValidationReport, check_star_functor, linking_category, validate_category
+from .cstarcat import ValidationReport, check_star_functor
 from .errors import (
     BimoduleAxiomViolation,
     CstarDualError,
     DegenerateFunctor,
     DiagonalNotSemisimple,
-    HolonomyViolation,
     SchemaError,
 )
-from .functors import sections_category, sigma_on_morphism, spectral_spaceoid
+from .functors import sections_category, sigma_on_morphism
 from .generators import GenParams, gen_category, gen_spaceoid
 from .numlin import DEFAULT_EPS, Tolerance, max_abs
 from .spaceoid import (
@@ -65,17 +64,17 @@ def _emit(args, payload, text_lines):
 def cmd_validate(args):
     kind, value = _read_input(args)
     if kind == "category":
-        report = validate_category(value, args.tol)
+        report, _ = duality.certified_validate(value, args.tol)
     elif kind == "spaceoid":
         report = validate_spaceoid(value, args.tol)
     elif kind == "spaceoid_morphism":
         report = validate_morphism(value, args.tol)
     elif kind == "star_functor":
         report = check_star_functor(value, args.tol)
-    else:  # bimodule: validation happens while assembling the linking category
+    else:  # bimodule: its linking category is assembled and validated
         report = ValidationReport()
         try:
-            linking_category(value, args.tol)
+            duality.validated_linking_category(value, args.tol)
             report.record("bimodule_axioms", True)
         except (BimoduleAxiomViolation, DiagonalNotSemisimple) as exc:
             report.record("bimodule_axioms", False, str(exc))
@@ -84,21 +83,10 @@ def cmd_validate(args):
     return EXIT_OK if report.ok else EXIT_INVALID
 
 
-def _certified_spectrum(cat, tol):
-    """``spectral_spaceoid`` of ``cat``, whose spaceoid must pass
-    ``validate_spaceoid``; else HolonomyViolation names the first failure."""
-    S, G = spectral_spaceoid(cat, tol)
-    report = validate_spaceoid(S, tol)
-    if not report.ok:
-        first = report.failures[0]
-        raise HolonomyViolation(f"spectrum fails {first.check} at {first.witness}")
-    return S, G
-
-
 def cmd_spectrum(args):
     kind, value = _read_input(args)
     if kind == "category":
-        S, G = _certified_spectrum(value, args.tol)
+        S, G, _ = duality.certified_spectrum(value, args.tol)
         payload = {"spaceoid": jsonio.spaceoid_to_json(S),
                    "gelfand": jsonio.gelfand_to_json(G)}
         lines = [f"spectrum over {len(S.objects)} objects"]
@@ -142,8 +130,8 @@ def cmd_roundtrip(args):
     lines = []
     ok = True
     if cat is not None:
-        spec = _certified_spectrum(cat, args.tol)
-        F, report = duality.check_gelfand_isomorphism(cat, args.tol, spec)
+        spec = duality.certified_spectrum(cat, args.tol)
+        _, report, _ = duality.axiom_certificate(cat, spec, args.tol)
         payload["gelfand"] = {"pass": report.ok, "failures": report.to_json()["failures"]}
         lines.append(f"algebra-side transform: {'pass' if report.ok else 'FAIL'}")
         ok = ok and report.ok

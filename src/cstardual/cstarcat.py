@@ -48,6 +48,7 @@ class ValidationReport:
 
     checks_run: list = field(default_factory=list)
     failures: list = field(default_factory=list)
+    _deviations: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -62,10 +63,27 @@ class ValidationReport:
             self.checks_run += checks
             self.failures += [CheckFailure(checks[k], witness(k), float(devs[k]))
                               for k in np.flatnonzero(np.logical_not(ok)).tolist()]
+            self._deviations.append((checks if np.ndim(check) else check, devs))
             return
         self.checks_run.append(check)
+        self._deviations.append((check, deviation))
         if not ok:
             self.failures.append(CheckFailure(check, witness, deviation))
+
+    @property
+    def largest(self) -> dict:
+        """Each check's largest deviation, NaN winning; not serialized."""
+        largest = {}
+        for check, devs in self._deviations:
+            if isinstance(check, list):  # aligned names
+                names = np.asarray(check)
+                groups = [(name, devs[names == name]) for name in dict.fromkeys(check)]
+            else:
+                groups = [(check, devs)]
+            for name, dev in groups:
+                if np.size(dev):
+                    largest[name] = float(np.maximum(largest.get(name, 0.0), np.max(dev)))
+        return largest
 
     def to_json(self):
         return {
@@ -471,6 +489,25 @@ def _record_sweep(report, check, devs, where, atol):
     report.record(check, devs <= atol, lambda k: f"({','.join(map(str, where[k]))})", devs)
 
 
+def _axiom_scales(cat: FiniteCStarCategory):
+    """``(tmax, jmax)``: the largest composition and involution entries, at
+    least 1.  ``validate_category`` judges its tensor identities against
+    ``tol.axiom(tmax, jmax)``."""
+    return (max([1.0] + [max_abs(T) for T in cat.comp.values()]),
+            max([1.0] + [max_abs(J) for J in cat.invol.values()]))
+
+
+def _sweep_checks(cat: FiniteCStarCategory) -> list:
+    """The check names ``validate_category`` records on ``cat`` when every
+    diagonal has its characters, each as often as the sweep records it."""
+    n, pairs = len(cat.objects), _support_paths(cat, 2)
+    return (["associativity"] * len(_support_paths(cat, 4)) + ["unit_law"] * n * n
+            + ["involution_involutive"] * n * n + ["involution_unit"] * n
+            + ["involution_antimultiplicative"] * len(_support_paths(cat, 3))
+            + ["diagonal_commutative"] * n + ["diagonal_semisimple"] * n
+            + ["positivity"] * sum(cat.dim(A, B) for A, B in pairs))
+
+
 def validate_category(cat: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
     """Exhaustive axiom sweep on all basis tuples.
 
@@ -492,9 +529,7 @@ def validate_category(cat: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL) ->
     """
     report = ValidationReport()
     objs = cat.objects
-    tmax = max([1.0] + [max_abs(T) for T in cat.comp.values()])
-    jmax = max([1.0] + [max_abs(J) for J in cat.invol.values()])
-    atol = tol.axiom(tmax, jmax)
+    atol = tol.axiom(*_axiom_scales(cat))
 
     where, devs, swapped = _support_paths(cat, 4), [], {}
     for A, B, C, D in where:
@@ -735,8 +770,8 @@ def linking_category(M: HilbertBimodule, tol: Tolerance = DEFAULT_TOL) -> Finite
 
     The dual basis of M* mirrors the basis of M, so the (A,A) and (B,B)
     corners reproduce the input algebras with identical structure constants.
-    The assembled category is validated; failures raise
-    BimoduleAxiomViolation.
+    The bimodule axioms are checked here (BimoduleAxiomViolation); the
+    category axioms are not (``duality.validated_linking_category`` adds them).
     """
     A, B = LINK_LEFT, LINK_RIGHT
     a_lbl, b_lbl = M.algA.objects[0], M.algB.objects[0]
@@ -768,11 +803,11 @@ def linking_category(M: HilbertBimodule, tol: Tolerance = DEFAULT_TOL) -> Finite
     cat = FiniteCStarCategory((A, B), dims, comp, invol, units)
 
     _check_bimodule_axioms(M, cat, tol)
-    report = validate_category(cat, tol)
-    if not report.ok:
-        first = report.failures[0]
-        raise BimoduleAxiomViolation(
-            f"linking category fails {first.check} at {first.witness}")
+    # the diagonals are the algebras, tensor for tensor, so their characters
+    # are the ones the bimodule check just computed
+    for obj, alg in ((A, M.algA), (B, M.algB)):
+        cat._characters[(obj, tol)] = [DiagonalCharacter(obj, c.index, c.values)
+                                       for c in alg.characters(alg.objects[0], tol)]
     return cat
 
 

@@ -17,18 +17,30 @@ from .cstarcat import (
     LINK_LEFT,
     LINK_RIGHT,
     StarFunctor,
+    ValidationReport,
+    _axiom_scales,
     _cstar_norms,
+    _support_paths,
+    _sweep_checks,
     check_star_functor,
     linking_category,
+    validate_category,
 )
-from .errors import InvalidCategory, InvalidSpaceoid
+from .errors import (
+    BimoduleAxiomViolation,
+    CstarDualError,
+    HolonomyViolation,
+    InvalidCategory,
+    InvalidSpaceoid,
+)
 from .functors import (
     gamma_on_morphism,
     sections_category,
     sigma_on_morphism,
     spectral_spaceoid,
 )
-from .numlin import DEFAULT_TOL, Tolerance, max_abs, nearest_rows, numeric_rank
+from .numlin import (DEFAULT_TOL, Tolerance, max_abs, nearest_rows, numeric_rank,
+                     singular_values)
 from .spaceoid import (
     FiniteSpaceoid,
     SpaceoidMorphism,
@@ -92,26 +104,194 @@ def check_gelfand_isomorphism(C: FiniteCStarCategory, tol: Tolerance = DEFAULT_T
 
     Returns (functor, report) where the report covers the functor axioms,
     per-Hom-set bijectivity (numeric rank) and isometry of the C*-norms on
-    all basis elements.
+    all basis elements.  A zero Hom-set has no spectrum points, so its
+    bijectivity holds; the zero Hom-sets record it once, together.
     """
+    F, report, _ = _checked_transform(C, tol, spectrum)
+    return F, report
+
+
+def _checked_transform(C, tol, spectrum):
+    """``check_gelfand_isomorphism`` and the singular values of each nonzero
+    Hom-set's square transform matrix, by Hom-set."""
     F = gelfand_transform(C, tol, spectrum)
     report = check_star_functor(F, tol)
-    for A, B in C.hom_pairs():
-        H = F.hom_maps[(A, B)]
-        d = C.dim(A, B)
+    nonzero = _support_paths(C, 2)
+    report.record("homset_bijective", np.ones(len(C.dims) - len(nonzero), dtype=bool))
+    sing = {}
+    for A, B in nonzero:
+        H, d = F.hom_maps[(A, B)], C.dim(A, B)
         if H.shape[0] != H.shape[1]:
-            report.record("homset_bijective", False,
-                          f"({A},{B}): shape {H.shape}")
+            report.record("homset_bijective", False, f"({A},{B}): shape {H.shape}")
             continue
-        rank = numeric_rank(H, tol) if d else 0
+        sing[(A, B)] = singular_values(H)
+        rank = numeric_rank(H, tol, sing[(A, B)])
         report.record("homset_bijective", rank == d, f"({A},{B}) rank {rank}/{d}")
-        if d == 0:
-            continue
         n_src = _cstar_norms(C, A, B, np.eye(d), tol)
         dev = np.abs(n_src - _cstar_norms(F.target, A, B, H, tol))
         report.record("isometric", dev <= tol.residual(1.0 + n_src),
                       lambda i: f"({A},{B}) basis {i}", dev)
-    return F, report
+    return F, report, sing
+
+
+# ---------------------------------------------------------------------------
+# certificate-first validation
+# ---------------------------------------------------------------------------
+
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2  # u = 2⁻⁵³
+_PHASE_CHECKS = ("nu_unimodular", "c_unimodular", "nu_symmetric", "c_matches_nu_on_units",
+                 "involution_antimultiplicative", "cocycle")
+
+
+def certified_spectrum(C: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL):
+    """``spectral_spaceoid`` of C, whose spaceoid must pass ``validate_spaceoid``;
+    else HolonomyViolation names the first failure.  Returns ``(S, G,
+    report)``, the report being ``validate_spaceoid``'s."""
+    S, G = spectral_spaceoid(C, tol)
+    report = validate_spaceoid(S, tol)
+    if not report.ok:
+        first = report.failures[0]
+        raise HolonomyViolation(f"spectrum fails {first.check} at {first.witness}")
+    return S, G, report
+
+
+def axiom_certificate(C: FiniteCStarCategory, spectrum, tol: Tolerance = DEFAULT_TOL):
+    """``check_gelfand_isomorphism`` on a ``certified_spectrum`` of C, and from
+    its observed residuals a rigorous bound on every deviation that
+    ``validate_category`` computes on C.  Returns ``(F, report, bounds)``:
+    the transform, the check's report and ``bounds[check]``, ``inf`` (or
+    NaN) where no bound holds: the report fails or a Hom map is singular.
+
+    The bound.  F is the transform, T the section category of the spectrum
+    S, and ``H_AB = F.hom_maps[(A, B)]`` maps coordinates of Hom(A,B) to
+    coordinates over the points of S.  ``|.|`` is the largest entry modulus,
+    ``|.|₁`` the sum of moduli.  Each quantity is a maximum over all Hom-sets
+    or all checked tuples:
+
+    - ``K = √d_AB / (σ_min(H_AB) − 4 n u σ_max(H_AB))`` over the nonzero
+      Hom-sets, ``u = 2⁻⁵³``, the σ from the SVD that bijectivity computes:
+      ``‖H⁻¹‖_∞ ≤ √d ‖H⁻¹‖₂``, less the SVD's rounding.  A deviation w in
+      T's coordinates is ``H⁻¹ w`` in C's, so at most ``K |w|``.
+    - ``h`` the largest column 1-norm of any H (``|F(x)|₁`` for a basis
+      element x), ``g`` its largest entry, ``n`` the largest Hom dimension,
+      ``t, j`` the ``tmax, jmax`` of ``validate_category`` and ``U`` the
+      largest ``|unit|₁``.
+    - ``ε_c, ε_i, ε_u`` the largest ``functor_composition``,
+      ``functor_involution`` and ``functor_unit`` deviations, each plus
+      ``4 n u`` times the magnitudes it subtracts (the γₙ rounding model of
+      Higham, Accuracy and Stability of Numerical Algorithms, §3.1):
+      ``n t g + h g (1+δ)``, ``n g j + (1+δ) g`` and ``U g + 1``.
+    - ``δ`` the largest deviation of the spectrum's phase checks
+      (``_PHASE_CHECKS``), plus ``16 u``.
+
+    In T a basis section is ``e_p`` per point p, with ``e_p e_q = c(p,q)
+    e_pq`` and ``e_p* = ν(p) e_p*`` exact in the stored phases and ``|c|,
+    |ν| ≤ 1+δ``; products with base points and units are exact.  A point of
+    a product and one factor determine the other, so ``|ab| ≤ (1+δ) |a|
+    |b|₁`` and ``|ab| ≤ (1+δ) |a|₁ |b|``.  The phase checks bound T's own
+    defects on basis sections: the associator by ``δ`` (cocycle), ``e_p**
+    − e_p`` by ``3δ + 2δ²`` (ν symmetric and unimodular),
+    antimultiplicativity by ``δ(5 + 5δ + 2δ²)`` (the worst case, a pair
+    closing on the diagonal, where c matches ν), and ``e_p* e_p = w e_s``,
+    s the source base point, has ``|w − 1| ≤ δ(4 + 3δ)``.  Each identity of
+    C, carried through F, splits into one term per functor defect and T's
+    own defect on the images.  For associativity, with ``xy = Σ_m T_ABC[i,
+    j, m] b_m``::
+
+        H_AD((xy)z − x(yz)) = [F((xy)z) − F(xy)F(z)] + [F(xy) − F(x)F(y)]F(z)
+                            + [(F(x)F(y))F(z) − F(x)(F(y)F(z))]
+                            − F(x)[F(yz) − F(y)F(z)] − [F(x(yz)) − F(x)F(yz)]
+
+    where the outer terms are at most ``n t ε_c``, the next two ``h (1+δ)
+    ε_c`` (taken ``n`` times larger here) and the associator ``h³ δ``:
+
+    - associativity ``≤ K (2 n t ε_c + 2 n h (1+δ) ε_c + h³ δ)``;
+    - ``unit_law`` ``≤ K (U ε_c + h ε_u)``, on either side;
+    - ``involution_involutive`` ``≤ K (n j ε_i + (1+δ) ε_i + (3δ + 2δ²) h)``;
+    - ``involution_unit`` ``≤ K (U ε_i + 2 ε_u)``;
+    - ``involution_antimultiplicative`` ``≤ K (n t ε_i + (1+δ) ε_c + (n j)²
+      ε_c + 2 (1+δ)² h ε_i + n (1+δ) ε_i² + δ(5 + 5δ + 2δ²) h²)``;
+    - ``diagonal_commutative`` ``≤ 2 K ε_c``, T's diagonals commuting exactly;
+    - ``positivity`` needs no K: the sweep's character rows at B are
+      ``H_BB``, so it evaluates ``F(x* x)`` itself, which is real and
+      nonnegative up to ``E = |x*|₁ ε_c + (1+δ) |F(x)|₁ ε_i + δ(4 + 3δ)
+      |F(x)|₁²`` for a basis element x.  The sweep allows
+      ``tol.positivity(s)``, linear in ``s ≥ 1 + |F(x)|² (1 − δ(4 + 3δ)) −
+      E``; the bound is the largest ``E / s``, against ``tol.positivity(1)``;
+    - ``diagonal_semisimple`` holds: the spectrum has the characters.
+
+    Each bound is on the exact deviation.  The sweep computes it with its
+    own rounding, far below the half threshold ``certified_validate``
+    leaves for it.
+    """
+    S, G, spaceoid_report = spectrum
+    F, report, sing = _checked_transform(C, tol, (S, G))
+    checks = ("associativity", "unit_law", "involution_involutive", "involution_unit",
+              "involution_antimultiplicative", "diagonal_commutative", "diagonal_semisimple",
+              "positivity")
+    if not report.ok:
+        return F, report, dict.fromkeys(checks, np.inf)
+    u, n = _UNIT_ROUNDOFF, max(C.dims.values())
+    t, j = _axiom_scales(C)
+    mags = {key: np.abs(F.hom_maps[key]) for key in sing}
+    h = max(float(M.sum(axis=0).max()) for M in mags.values())
+    g = max(float(M.max()) for M in mags.values())
+    U = max(float(np.abs(C.unit(A)).sum()) for A in C.objects)
+    gaps = [s[-1] - 4 * n * u * s[0] for s in sing.values()]
+    K = max(np.sqrt(len(s)) / gap if gap > 0 else np.inf for s, gap in zip(sing.values(), gaps))
+    phases, largest = spaceoid_report.largest, report.largest
+    d = max(phases.get(name, 0.0) for name in _PHASE_CHECKS) + 16 * u
+    ec = largest.get("functor_composition", 0.0) + 4 * n * u * (n * t * g + h * g * (1 + d))
+    ei = largest.get("functor_involution", 0.0) + 4 * n * u * (n * g * j + (1 + d) * g)
+    eu = largest.get("functor_unit", 0.0) + 4 * n * u * (U * g + 1)
+    bounds = dict(zip(checks, (
+        K * (2 * n * t * ec + 2 * n * h * (1 + d) * ec + h ** 3 * d),
+        K * (U * ec + h * eu),
+        K * (n * j * ei + (1 + d) * ei + (3 * d + 2 * d * d) * h),
+        K * (U * ei + 2 * eu),
+        K * (n * t * ei + (1 + d) * ec + (n * j) ** 2 * ec + 2 * (1 + d) ** 2 * h * ei
+             + n * (1 + d) * ei * ei + d * (5 + 5 * d + 2 * d * d) * h * h),
+        2 * K * ec,
+        0.0,
+        max(_positivity_ratio(M, C.invol[key], ec, ei, d) for key, M in mags.items()))))
+    return F, report, bounds
+
+
+def _positivity_ratio(M, J, ec, ei, d):
+    """Largest ``E / s`` of ``axiom_certificate``'s positivity bound over the
+    basis of one Hom-set: ``M`` the moduli of its transform matrix, ``J`` its
+    involution matrix."""
+    a, w = M.sum(axis=0), d * (4 + 3 * d)
+    E = np.abs(J).sum(axis=0) * ec + (1 + d) * a * ei + w * a * a
+    return float(np.max(E / (1 + np.maximum(0.0, M.max(axis=0) ** 2 * max(0.0, 1 - w) - E))))
+
+
+def certified_validate(C: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL):
+    """``validate_category``'s verdict, from the Gelfand certificate where it
+    decides.  Returns ``(report, (S, G, F) or None)``.
+
+    When ``axiom_certificate`` bounds every check's deviation by at most half
+    its sweep threshold (``tol.axiom(tmax, jmax)``; for positivity
+    ``tol.positivity`` per unit of scale), every deviation the sweep would
+    compute passes, so the report records the sweep's check names with the
+    sweep's multiplicities and no failure.  Otherwise (the spectrum raises,
+    or a bound is inconclusive) the report is ``validate_category``'s own,
+    failures and witnesses included.  The spectrum ``(S, G)`` and transform
+    F come back whenever the spectrum passed ``validate_spaceoid``, for
+    callers that need them.
+    """
+    if not C.objects:  # no spectrum to take; the sweep checks nothing
+        return validate_category(C, tol), None
+    try:
+        S, G, _ = spectrum = certified_spectrum(C, tol)
+        F, _, bounds = axiom_certificate(C, spectrum, tol)
+    except CstarDualError:
+        return validate_category(C, tol), None
+    limits = dict.fromkeys(bounds, tol.axiom(*_axiom_scales(C)))
+    limits["positivity"] = tol.positivity(1.0)
+    if all(bounds[check] <= limits[check] / 2 for check in bounds):
+        return ValidationReport(checks_run=_sweep_checks(C)), (S, G, F)
+    return validate_category(C, tol), (S, G, F)
 
 
 # ---------------------------------------------------------------------------
@@ -240,18 +420,33 @@ class BimoduleSpectrum:
         }
 
 
+def validated_linking_category(M: HilbertBimodule, tol: Tolerance = DEFAULT_TOL):
+    """``linking_category`` of M, validated by ``certified_validate``; a
+    failure raises BimoduleAxiomViolation naming the sweep's first failure.
+    Returns ``(category, (S, G, F) or None)``."""
+    cat = linking_category(M, tol)
+    report, spectrum = certified_validate(cat, tol)
+    if not report.ok:
+        first = report.failures[0]
+        raise BimoduleAxiomViolation(f"linking category fails {first.check} at {first.witness}")
+    return cat, spectrum
+
+
 def bimodule_spectrum(M: HilbertBimodule, tol: Tolerance = DEFAULT_TOL) -> BimoduleSpectrum:
     """Spectral theorem driver: the bimodule is the sections of a complex
     line bundle over the graph of a partial bijection between the spectra.
 
-    Builds the linking category, takes its spectrum, and restricts the
-    transform to the module Hom-set; the supports of the partial bijection
-    witness non-fullness on either side.
+    Builds and validates the linking category, takes its spectrum, and
+    restricts the transform to the module Hom-set (the validation's own
+    where it built them); the supports of the partial bijection witness
+    non-fullness on either side.
     """
-    cat = linking_category(M, tol)
-    spec = spectral_spaceoid(cat, tol)
-    S, G = spec
-    F = gelfand_transform(cat, tol, spectrum=spec)
+    cat, spectrum = validated_linking_category(M, tol)
+    if spectrum is None:
+        S, G = spectral_spaceoid(cat, tol)
+        F = gelfand_transform(cat, tol, spectrum=(S, G))
+    else:
+        S, G, F = spectrum
     A, B = LINK_LEFT, LINK_RIGHT
     pairs = [(int(S.target(h)), int(S.source(h))) for h in S.hom_points(A, B)]
     return BimoduleSpectrum(

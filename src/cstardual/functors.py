@@ -315,11 +315,14 @@ def sigma_on_morphism(F: StarFunctor, tol: Tolerance = DEFAULT_TOL,
                          for k, idx in enumerate(best.tolist())}
 
     m = SpaceoidMorphism(S2, S1, inv_obj, base_maps, {})
-    # per Hom-set of S2: the image frames through the functor, cut down by
-    # the corner projection of each point, against the point's own frame
+    # per Hom-set of S2 that holds points: the image frames through the
+    # functor, cut down by the corner projection of each point, against the
+    # point's own frame
     images = m._images()
     scalars, (res, bound) = np.zeros(len(images), dtype=complex), np.zeros((2, len(images)))
     for (A2, B2), off in S2._offset.items():
+        if not S2.points[(A2, B2)]:
+            continue
         A, B = inv_obj[A2], inv_obj[B2]
         ps = off + np.flatnonzero(images[off:off + len(S2.points[(A2, B2)])] >= 0)
         left, right = _corner_actions(tgt, A2, B2, tol)

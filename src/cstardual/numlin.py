@@ -119,16 +119,22 @@ def hermitian_eig(M, tol: Tolerance = DEFAULT_TOL):
     return evals, U
 
 
-def numeric_rank(M, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Number of singular values (LAPACK ``svd``) above ``tol.rank(smax)``."""
+def singular_values(M) -> np.ndarray:
+    """Singular values (LAPACK ``svd``), descending; empty for an empty matrix."""
     A = np.asarray(M, dtype=complex)
     if A.size == 0:
-        return 0
+        return np.zeros(0)
     try:
-        sing = np.linalg.svd(A, compute_uv=False)
+        return np.linalg.svd(A, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"svd did not converge: {exc}")
-    return int(np.sum(sing > tol.rank(sing[0])))
+
+
+def numeric_rank(M, tol: Tolerance = DEFAULT_TOL, sing=None) -> int:
+    """Number of singular values above ``tol.rank(smax)``; ``sing`` may supply
+    them, as ``singular_values(M)`` returns them."""
+    sing = singular_values(M) if sing is None else sing
+    return int(np.sum(sing > tol.rank(sing[0]))) if sing.size else 0
 
 
 def nearest_rows(rows, targets):

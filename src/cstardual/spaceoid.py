@@ -280,16 +280,22 @@ def validate_spaceoid(S: FiniteSpaceoid, tol: Tolerance = DEFAULT_TOL) -> Valida
     report = ValidationReport()
     h, P, Q, R = S._handles, S._p, S._q, S._r
 
-    for A in S.objects:
-        report.record("base_nonempty", len(S.base_sets[A]) > 0, f"({A})")
+    objs, n = S.objects, len(S.objects)
+    sizes = np.array([len(S.base_sets[A]) for A in objs], dtype=np.int64)
+    report.record("base_nonempty", sizes > 0, lambda k: f"({objs[k]})")
 
-    for (A, B), pts in S.points.items():
-        targets = [t for t, _ in pts]
-        sources = [s for _, s in pts]
-        report.record("target_injective", len(set(targets)) == len(targets), f"({A},{B})")
-        report.record("source_injective", len(set(sources)) == len(sources), f"({A},{B})")
-        ok_lbl = all(t in S.base_sets[A] and s in S.base_sets[B] for t, s in pts)
-        report.record("labels_in_base", ok_lbl, f"({A},{B})")
+    # per Hom-set, in the order of ``S.points`` (object pairs A != B in object
+    # order): a target or source label code twice, or a code past the base set
+    pair = S._tobj * n + S._sobj
+    bad = np.zeros((3, n * n), dtype=bool)
+    for row, lab in enumerate((S._tlab, S._slab)):
+        key = np.sort(pair * S._radix + lab)
+        bad[row, key[1:][key[1:] == key[:-1]] // S._radix] = True
+    bad[2, pair[(S._tlab >= sizes[S._tobj]) | (S._slab >= sizes[S._sobj])]] = True
+    keys = list(S.points)
+    report.record(np.tile(["target_injective", "source_injective", "labels_in_base"], len(keys)),
+                  ~bad[:, ~np.eye(n, dtype=bool).ravel()].T.ravel(),
+                  lambda k: "({},{})".format(*keys[k // 3]))
     if not report.ok:
         return report
 
