@@ -20,7 +20,7 @@ from .errors import (
     DiagonalNotSemisimple,
     SchemaError,
 )
-from .functors import sections_category, sigma_on_morphism
+from .functors import sections_category, sigma_on_morphism, spectral_spaceoid
 from .generators import GenParams, gen_category, gen_spaceoid
 from .numlin import DEFAULT_EPS, Tolerance, max_abs
 from .spaceoid import (
@@ -64,7 +64,7 @@ def _emit(args, payload, text_lines):
 def cmd_validate(args):
     kind, value = _read_input(args)
     if kind == "category":
-        report, _ = duality.certified_validate(value, args.tol)
+        report = duality.certified_validate(value, args.tol)
     elif kind == "spaceoid":
         report = validate_spaceoid(value, args.tol)
     elif kind == "spaceoid_morphism":
@@ -130,13 +130,12 @@ def cmd_roundtrip(args):
     lines = []
     ok = True
     if cat is not None:
-        spec = duality.certified_spectrum(cat, args.tol)
-        _, report, _ = duality.axiom_certificate(cat, spec, args.tol)
+        _, report, _ = duality.axiom_certificate(cat, args.tol)
         payload["gelfand"] = {"pass": report.ok, "failures": report.to_json()["failures"]}
         lines.append(f"algebra-side transform: {'pass' if report.ok else 'FAIL'}")
         ok = ok and report.ok
         if oracle is not None:
-            iso = spaceoids_isomorphic(spec[0], oracle, args.tol)
+            iso = spaceoids_isomorphic(spectral_spaceoid(cat, args.tol)[0], oracle, args.tol)
             payload["oracle_recovered"] = iso is not None
             lines.append(f"oracle recovery: {'pass' if iso is not None else 'FAIL'}")
             ok = ok and iso is not None

@@ -125,8 +125,8 @@ class FiniteCStarCategory:
     declared key reads as zeros of its shape.  ``out[A]`` lists the objects B
     with Hom(A,B) nonzero, in object order: the support index every sweep
     walks.  Instances are treated as immutable after construction; characters,
-    minimal idempotents and corner matchings are cached lazily, per
-    tolerance.
+    minimal idempotents, corner matchings and the spectrum
+    (``functors.spectral_spaceoid``) are cached lazily, per tolerance.
     """
 
     def __init__(self, objects, dims, comp, invol, units):
@@ -165,7 +165,7 @@ class FiniteCStarCategory:
         for A, u in self.units.items():
             if u.shape != (dims[(A, A)],):
                 raise ValueError(f"unit of {A} has wrong length")
-        self._characters, self._idempotents, self._matchings = {}, {}, {}
+        self._characters, self._idempotents, self._matchings, self._spectra = {}, {}, {}, {}
 
     # -- basic operations ---------------------------------------------------
 
@@ -200,21 +200,18 @@ class FiniteCStarCategory:
     # -- characters -----------------------------------------------------------
 
     def characters(self, A, tol: Tolerance = DEFAULT_TOL):
-        """Characters of the diagonal at A, cached per tolerance."""
+        """Characters of the diagonal at A, cached per tolerance: row k is
+        the value tuple of character k on the diagonal basis, rows in the
+        canonical (lexicographic) order.  The array is shared, so read-only."""
         if (A, tol) not in self._characters:
             self._characters[(A, tol)] = _diagonal_characters(self, A, tol)
         return self._characters[(A, tol)]
-
-    def character_matrix(self, A, tol: Tolerance = DEFAULT_TOL):
-        """Rows are character value tuples on the diagonal basis at A."""
-        chars = self.characters(A, tol)
-        return np.array([c.values for c in chars])
 
     def idempotents(self, A, tol: Tolerance = DEFAULT_TOL):
         """Columns are coordinates of the minimal idempotents, ordered like
         the characters (column k satisfies char_j(e_k) = delta_jk)."""
         if (A, tol) not in self._idempotents:
-            omega = self.character_matrix(A, tol)
+            omega = self.characters(A, tol)
             self._idempotents[(A, tol)] = np.linalg.solve(omega, np.eye(omega.shape[0]))
         return self._idempotents[(A, tol)]
 
@@ -226,18 +223,6 @@ class FiniteCStarCategory:
         if (A, B, tol) not in self._matchings:
             self._matchings[(A, B, tol)] = _corner_matching(self, A, B, tol)
         return self._matchings[(A, B, tol)]
-
-
-@dataclass(frozen=True)
-class DiagonalCharacter:
-    """Multiplicative unital functional on one diagonal algebra."""
-
-    object: str
-    index: int
-    values: np.ndarray  # value tuple on the diagonal basis
-
-    def __call__(self, x):
-        return complex(np.dot(self.values, x))
 
 
 def _finish_characters(cat, A, omega, tol):
@@ -257,8 +242,9 @@ def _finish_characters(cat, A, omega, tol):
     if close.size:
         k, l = close[0]
         raise DiagonalNotSemisimple(f"characters {k},{l} on {A} coincide")
-    rows = lex_order(omega)
-    return [DiagonalCharacter(A, i, omega[rows[i]].copy()) for i in range(d)]
+    omega = omega[lex_order(omega)]
+    omega.flags.writeable = False  # cached and shared by every caller
+    return omega
 
 
 def _diagonal_characters(cat, A, tol):
@@ -292,21 +278,14 @@ def _diagonal_characters(cat, A, tol):
     return _finish_characters(cat, A, tuples.T, tol)
 
 
-def characters_of_diagonal(cat: FiniteCStarCategory, A, tol: Tolerance = DEFAULT_TOL):
-    """All characters of the diagonal algebra at A, in the canonical order
-    (lexicographic by value tuple on the given basis)."""
-    return cat.characters(A, tol)
-
-
 # ---------------------------------------------------------------------------
 # corners
 # ---------------------------------------------------------------------------
 
-def corner_projection_matrix(cat, A, B, p: DiagonalCharacter, q: DiagonalCharacter,
-                             tol: Tolerance = DEFAULT_TOL):
-    """Matrix of x -> e_p . x . e_q on Hom(A,B)."""
-    e_p = cat.idempotents(A, tol)[:, p.index]
-    e_q = cat.idempotents(B, tol)[:, q.index]
+def corner_projection_matrix(cat, A, B, p: int, q: int, tol: Tolerance = DEFAULT_TOL):
+    """Matrix of x -> e_p . x . e_q on Hom(A,B), for character p of A and q of B."""
+    e_p = cat.idempotents(A, tol)[:, p]
+    e_q = cat.idempotents(B, tol)[:, q]
     return cat.right_action_matrix(A, B, e_q) @ cat.left_action_matrix(A, B, e_p)
 
 
@@ -332,9 +311,9 @@ def _corner_generators(K, zero_tol):
     return u, functional, nonzero, exceeds
 
 
-def corner(cat, A, B, p: DiagonalCharacter, q: DiagonalCharacter,
-           tol: Tolerance = DEFAULT_TOL):
-    """Orthonormal basis (columns) of the corner e_p . Hom(A,B) . e_q.
+def corner(cat, A, B, p: int, q: int, tol: Tolerance = DEFAULT_TOL):
+    """Orthonormal basis (columns) of the corner e_p . Hom(A,B) . e_q, for
+    character p of A and q of B.
 
     The corner of a valid commutative C*-category has dimension 0 or 1;
     anything larger raises CornerDimensionExceedsOne.
@@ -345,7 +324,7 @@ def corner(cat, A, B, p: DiagonalCharacter, q: DiagonalCharacter,
     u, _, nonzero, exceeds = _corner_generators(K[None], _corner_zero_tol(cat, A, B, tol))
     if exceeds[0]:
         raise CornerDimensionExceedsOne(
-            f"corner ({A},{B}) at characters ({p.index},{q.index}) has dimension > 1")
+            f"corner ({A},{B}) at characters ({p},{q}) has dimension > 1")
     return u.T[:, nonzero]
 
 
@@ -446,7 +425,7 @@ def _squares(cat, A, B, X):
 def _cstar_norms(cat, A, B, X, tol):
     """C*-norms of the columns of X in Hom(A,B)."""
     Y = _squares(cat, A, B, X)
-    omega = cat.character_matrix(B, tol)
+    omega = cat.characters(B, tol)
     if omega.size == 0 or Y.size == 0:
         return np.zeros(Y.shape[1])
     return np.sqrt(np.maximum(0.0, np.max((omega @ Y).real, axis=0)))
@@ -590,7 +569,7 @@ def validate_category(cat: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL) ->
         if B not in chars:
             continue
         # characters of Hom(B,B) on x* . x, one column per basis element x
-        vals = cat.character_matrix(B, tol) @ _squares(cat, A, B, np.eye(d))
+        vals = chars[B] @ _squares(cat, A, B, np.eye(d))
         bound = tol.positivity(1.0 + np.max(np.abs(vals), axis=0))
         neg = np.min(vals.real, axis=0)
         imag = np.max(np.abs(vals.imag), axis=0)
@@ -806,8 +785,7 @@ def linking_category(M: HilbertBimodule, tol: Tolerance = DEFAULT_TOL) -> Finite
     # the diagonals are the algebras, tensor for tensor, so their characters
     # are the ones the bimodule check just computed
     for obj, alg in ((A, M.algA), (B, M.algB)):
-        cat._characters[(obj, tol)] = [DiagonalCharacter(obj, c.index, c.values)
-                                       for c in alg.characters(alg.objects[0], tol)]
+        cat._characters[(obj, tol)] = alg.characters(alg.objects[0], tol)
     return cat
 
 
@@ -842,7 +820,7 @@ def _check_bimodule_axioms(M: HilbertBimodule, cat, tol):
     for alg_obj, ip, lbl in ((M.algA, M.ipA, "left"), (M.algB, M.ipB, "right")):
         obj = alg_obj.objects[0]
         try:
-            omega = alg_obj.character_matrix(obj, tol)
+            omega = alg_obj.characters(obj, tol)
         except DiagonalNotSemisimple as exc:
             raise BimoduleAxiomViolation(f"{lbl} algebra not semisimple: {exc}")
         for c in range(omega.shape[0]):

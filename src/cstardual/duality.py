@@ -83,23 +83,20 @@ class NaturalityReport:
 # the transform on the algebra side
 # ---------------------------------------------------------------------------
 
-def gelfand_transform(C: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL,
-                      spectrum=None) -> StarFunctor:
+def gelfand_transform(C: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL) -> StarFunctor:
     """Transform of a category into the sections of its spectrum.
 
     Basis element x of Hom(A,B) is sent to its coordinate vector over the
     point generators of the section category; the result is a *-functor,
     bijective on every Hom-set and isometric for the C*-norms.
-    ``spectrum`` may supply a precomputed ``(S, G)`` pair.
     """
-    S, G = spectrum if spectrum is not None else spectral_spaceoid(C, tol)
+    S, G = spectral_spaceoid(C, tol)
     sec = sections_category(S, tol, check=False)
     homs = {(A, B): (G.diag[A] if A == B else G.hat[(A, B)].T).copy() for A, B in C.hom_pairs()}
     return StarFunctor(C, sec, {A: A for A in C.objects}, homs)
 
 
-def check_gelfand_isomorphism(C: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL,
-                              spectrum=None):
+def check_gelfand_isomorphism(C: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL):
     """Verify that the transform is a *-isomorphism.
 
     Returns (functor, report) where the report covers the functor axioms,
@@ -107,14 +104,14 @@ def check_gelfand_isomorphism(C: FiniteCStarCategory, tol: Tolerance = DEFAULT_T
     all basis elements.  A zero Hom-set has no spectrum points, so its
     bijectivity holds; the zero Hom-sets record it once, together.
     """
-    F, report, _ = _checked_transform(C, tol, spectrum)
+    F, report, _ = _checked_transform(C, tol)
     return F, report
 
 
-def _checked_transform(C, tol, spectrum):
+def _checked_transform(C, tol):
     """``check_gelfand_isomorphism`` and the singular values of each nonzero
     Hom-set's square transform matrix, by Hom-set."""
-    F = gelfand_transform(C, tol, spectrum)
+    F = gelfand_transform(C, tol)
     report = check_star_functor(F, tol)
     nonzero = _support_paths(C, 2)
     report.record("homset_bijective", np.ones(len(C.dims) - len(nonzero), dtype=bool))
@@ -155,8 +152,8 @@ def certified_spectrum(C: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL):
     return S, G, report
 
 
-def axiom_certificate(C: FiniteCStarCategory, spectrum, tol: Tolerance = DEFAULT_TOL):
-    """``check_gelfand_isomorphism`` on a ``certified_spectrum`` of C, and from
+def axiom_certificate(C: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL):
+    """``check_gelfand_isomorphism`` on the ``certified_spectrum`` of C, and from
     its observed residuals a rigorous bound on every deviation that
     ``validate_category`` computes on C.  Returns ``(F, report, bounds)``:
     the transform, the check's report and ``bounds[check]``, ``inf`` (or
@@ -224,8 +221,8 @@ def axiom_certificate(C: FiniteCStarCategory, spectrum, tol: Tolerance = DEFAULT
     own rounding, far below the half threshold ``certified_validate``
     leaves for it.
     """
-    S, G, spaceoid_report = spectrum
-    F, report, sing = _checked_transform(C, tol, (S, G))
+    spaceoid_report = certified_spectrum(C, tol)[2]
+    F, report, sing = _checked_transform(C, tol)
     checks = ("associativity", "unit_law", "involution_involutive", "involution_unit",
               "involution_antimultiplicative", "diagonal_commutative", "diagonal_semisimple",
               "positivity")
@@ -268,7 +265,7 @@ def _positivity_ratio(M, J, ec, ei, d):
 
 def certified_validate(C: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL):
     """``validate_category``'s verdict, from the Gelfand certificate where it
-    decides.  Returns ``(report, (S, G, F) or None)``.
+    decides.
 
     When ``axiom_certificate`` bounds every check's deviation by at most half
     its sweep threshold (``tol.axiom(tmax, jmax)``; for positivity
@@ -276,22 +273,18 @@ def certified_validate(C: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL):
     compute passes, so the report records the sweep's check names with the
     sweep's multiplicities and no failure.  Otherwise (the spectrum raises,
     or a bound is inconclusive) the report is ``validate_category``'s own,
-    failures and witnesses included.  The spectrum ``(S, G)`` and transform
-    F come back whenever the spectrum passed ``validate_spaceoid``, for
-    callers that need them.
+    failures and witnesses included.  The spectrum stays cached on C
+    (``spectral_spaceoid``) for callers that need it.
     """
-    if not C.objects:  # no spectrum to take; the sweep checks nothing
-        return validate_category(C, tol), None
     try:
-        S, G, _ = spectrum = certified_spectrum(C, tol)
-        F, _, bounds = axiom_certificate(C, spectrum, tol)
+        _, _, bounds = axiom_certificate(C, tol)
     except CstarDualError:
-        return validate_category(C, tol), None
+        return validate_category(C, tol)
     limits = dict.fromkeys(bounds, tol.axiom(*_axiom_scales(C)))
     limits["positivity"] = tol.positivity(1.0)
     if all(bounds[check] <= limits[check] / 2 for check in bounds):
-        return ValidationReport(checks_run=_sweep_checks(C)), (S, G, F)
-    return validate_category(C, tol), (S, G, F)
+        return ValidationReport(checks_run=_sweep_checks(C))
+    return validate_category(C, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +333,9 @@ def check_naturality_G(F: StarFunctor, tol: Tolerance = DEFAULT_TOL) -> Naturali
     element: transforming then pulling back along the spectrum of the
     functor equals applying the functor then transforming."""
     C1, C2 = F.source, F.target
-    spec1 = spectral_spaceoid(C1, tol)
-    spec2 = spectral_spaceoid(C2, tol)
-    g1 = gelfand_transform(C1, tol, spec1)
-    g2 = gelfand_transform(C2, tol, spec2)
-    sm = sigma_on_morphism(F, tol, spectra=(spec1, spec2))
+    g1 = gelfand_transform(C1, tol)
+    g2 = gelfand_transform(C2, tol)
+    sm = sigma_on_morphism(F, tol)
     gamma = gamma_on_morphism(sm, tol, cats=(g1.target, g2.target), check=False)
     left = g1.then(gamma)
     right = F.then(g2)
@@ -362,12 +353,11 @@ def check_naturality_E(m: SpaceoidMorphism, tol: Tolerance = DEFAULT_TOL) -> Nat
     E1, E2 = m.source, m.target
     sec1 = sections_category(E1, tol, check=False)
     sec2 = sections_category(E2, tol, check=False)
-    spec1 = spectral_spaceoid(sec1, tol)
-    spec2 = spectral_spaceoid(sec2, tol)
-    ev1 = evaluation_transform(E1, tol, spectrum=spec1)
-    ev2 = evaluation_transform(E2, tol, spectrum=spec2)
+    # sigma below reads the spectra of sec1 and sec2 from their caches
+    ev1 = evaluation_transform(E1, tol, spectrum=spectral_spaceoid(sec1, tol))
+    ev2 = evaluation_transform(E2, tol, spectrum=spectral_spaceoid(sec2, tol))
     gamma = gamma_on_morphism(m, tol, cats=(sec2, sec1), check=False)
-    sm = sigma_on_morphism(gamma, tol, spectra=(spec2, spec1))
+    sm = sigma_on_morphism(gamma, tol)
     left = compose_morphisms(ev1, sm)
     right = compose_morphisms(m, ev2)
     report = NaturalityReport(tolerance=tol.residual())
@@ -422,31 +412,27 @@ class BimoduleSpectrum:
 
 def validated_linking_category(M: HilbertBimodule, tol: Tolerance = DEFAULT_TOL):
     """``linking_category`` of M, validated by ``certified_validate``; a
-    failure raises BimoduleAxiomViolation naming the sweep's first failure.
-    Returns ``(category, (S, G, F) or None)``."""
+    failure raises BimoduleAxiomViolation naming the sweep's first failure."""
     cat = linking_category(M, tol)
-    report, spectrum = certified_validate(cat, tol)
+    report = certified_validate(cat, tol)
     if not report.ok:
         first = report.failures[0]
         raise BimoduleAxiomViolation(f"linking category fails {first.check} at {first.witness}")
-    return cat, spectrum
+    return cat
 
 
 def bimodule_spectrum(M: HilbertBimodule, tol: Tolerance = DEFAULT_TOL) -> BimoduleSpectrum:
     """Spectral theorem driver: the bimodule is the sections of a complex
     line bundle over the graph of a partial bijection between the spectra.
 
-    Builds and validates the linking category, takes its spectrum, and
-    restricts the transform to the module Hom-set (the validation's own
-    where it built them); the supports of the partial bijection witness
+    Builds and validates the linking category, takes its spectrum (the one
+    the validation cached, where it took one), and restricts the transform
+    to the module Hom-set; the supports of the partial bijection witness
     non-fullness on either side.
     """
-    cat, spectrum = validated_linking_category(M, tol)
-    if spectrum is None:
-        S, G = spectral_spaceoid(cat, tol)
-        F = gelfand_transform(cat, tol, spectrum=(S, G))
-    else:
-        S, G, F = spectrum
+    cat = validated_linking_category(M, tol)
+    S, G = spectral_spaceoid(cat, tol)
+    F = gelfand_transform(cat, tol)
     A, B = LINK_LEFT, LINK_RIGHT
     pairs = [(int(S.target(h)), int(S.source(h))) for h in S.hom_points(A, B)]
     return BimoduleSpectrum(

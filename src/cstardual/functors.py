@@ -17,12 +17,12 @@ from .cstarcat import (
     FiniteCStarCategory,
     StarFunctor,
     check_non_degenerate,
-    _corner_actions,
     _cstar_norms,
 )
 from .errors import (
     DegenerateFunctor,
     HolonomyViolation,
+    InvalidCategory,
     InvalidMorphism,
     InvalidSpaceoid,
 )
@@ -183,13 +183,25 @@ def spectral_spaceoid(C: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL):
     and the cocycle is read off by composing and involuting frames: one
     stacked contraction per Hom-set for ``nu`` and per Hom triple for ``c``.
     The first failing point, then the first failing pair-table row, is
-    reported.
+    reported; a category without objects raises InvalidCategory.
 
     Returns ``(S, G)`` with ``G`` the section coordinates of every basis
     element (the data of the transform into the section category of S).
+    The pair is kept on C per tolerance, beside its characters, so every
+    caller reads the one spectrum of C; an input that raises keeps nothing
+    and raises again on the next call.
     """
+    if tol not in C._spectra:
+        C._spectra[tol] = _spectral_spaceoid(C, tol)
+    return C._spectra[tol]
+
+
+def _spectral_spaceoid(C, tol):
+    """The body of ``spectral_spaceoid``, computed once per category and tolerance."""
     objs = C.objects
-    gd = GelfandData(diag={A: C.character_matrix(A, tol) for A in objs}, hat={}, frames={})
+    if not objs:
+        raise InvalidCategory("a category without objects has no spectrum")
+    gd = GelfandData(diag={A: C.characters(A, tol) for A in objs}, hat={}, frames={})
     base_sets = {A: [gd.point_label(A, k) for k in range(len(gd.diag[A]))] for A in objs}
 
     points, gens, funcs, norms = {}, {}, {}, {}
@@ -228,6 +240,7 @@ def spectral_spaceoid(C: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL):
     frame = U * (np.conj(lead) / np.abs(lead))[:, None]
     # frame = s . gen with |gen| = 1, so frame* K / |frame|^2 = gen* K / s
     hat = functional / np.sum(np.conj(gen) * frame, axis=1)[:, None]
+    frame.flags.writeable = hat.flags.writeable = False  # G is cached on C and shared
 
     # nu: each frame involuted, one product per Hom-set, against the frame of
     # the inverse point
@@ -279,16 +292,19 @@ def spectral_spaceoid(C: FiniteCStarCategory, tol: Tolerance = DEFAULT_TOL):
 # spectrum functor, on morphisms (contravariant)
 # ---------------------------------------------------------------------------
 
-def sigma_on_morphism(F: StarFunctor, tol: Tolerance = DEFAULT_TOL,
-                      spectra=None) -> SpaceoidMorphism:
+def sigma_on_morphism(F: StarFunctor, tol: Tolerance = DEFAULT_TOL) -> SpaceoidMorphism:
     """Spectrum of a non-degenerate *-functor.
 
     The point map sends a spectrum point of the functor's target category to
-    the point named by the pulled-back characters; frame scalars express the
-    functor's fiber action in the chosen frames.  Raises DegenerateFunctor
-    when the non-degeneracy gate fails (the point map would lose a point).
-    ``spectra`` may supply ((S_src, G_src), (S_tgt, G_tgt)) precomputed for
-    the functor's source and target categories.
+    the point named by the pulled-back characters.  A point's frame scalar
+    is the functor read in Gelfand coordinates: the image under F of the
+    frame of the point's image, evaluated at the point (its ``hat`` row in
+    the target's spectrum).  ``corner_matching`` certifies every corner
+    projection as ``u f``, and ``hat`` is ``f`` rescaled to the frame, so
+    this is the projection of F(frame) onto the point's frame.  Both spectra
+    are the categories' own (``spectral_spaceoid``).  Raises
+    DegenerateFunctor when the non-degeneracy gate fails (the point map
+    would lose a point), InvalidMorphism where a point has no image.
     """
     ok, witness = check_non_degenerate(F, tol)
     if not ok:
@@ -297,8 +313,8 @@ def sigma_on_morphism(F: StarFunctor, tol: Tolerance = DEFAULT_TOL,
             f"functional {dict(sorted([(A2, p), (B2, q)]))} vanishes after "
             f"pull-back on Hom({A},{B})")
     src, tgt = F.source, F.target
-    (S1, G1) = spectra[0] if spectra else spectral_spaceoid(src, tol)
-    (S2, G2) = spectra[1] if spectra else spectral_spaceoid(tgt, tol)
+    S1, G1 = spectral_spaceoid(src, tol)
+    S2, G2 = spectral_spaceoid(tgt, tol)
 
     inv_obj = {v: k for k, v in F.obj_map.items()}
     base_maps = {}
@@ -316,23 +332,15 @@ def sigma_on_morphism(F: StarFunctor, tol: Tolerance = DEFAULT_TOL,
 
     m = SpaceoidMorphism(S2, S1, inv_obj, base_maps, {})
     # per Hom-set of S2 that holds points: the image frames through the
-    # functor, cut down by the corner projection of each point, against the
-    # point's own frame
-    images = m._images()
-    scalars, (res, bound) = np.zeros(len(images), dtype=complex), np.zeros((2, len(images)))
+    # functor, each evaluated at its point
+    images = m._image_points()
+    scalars = np.zeros(len(images), dtype=complex)
     for (A2, B2), off in S2._offset.items():
         if not S2.points[(A2, B2)]:
             continue
         A, B = inv_obj[A2], inv_obj[B2]
-        ps = off + np.flatnonzero(images[off:off + len(S2.points[(A2, B2)])] >= 0)
-        left, right = _corner_actions(tgt, A2, B2, tol)
-        Y = G1.frames[(A, B)][S1._local[images[ps]]] @ F.hom_maps[(A, B)].T
-        KY = right[S2._slab[ps]] @ (left[S2._tlab[ps]] @ Y[:, :, None])
-        scalars[ps], res[ps], bound[ps] = _project(
-            G2.frames[(A2, B2)][S2._local[ps]], KY[..., 0], tol)
-    h = S2._handles
-    for k in np.flatnonzero((images < 0) | (res > bound))[:1]:
-        m.point_map(h[k])  # raises where the point has no image
-        raise HolonomyViolation(f"projection residual {res[k]:g} at scalar{h[k]}")
-    m.scalars = dict(zip(h, scalars.tolist()))
+        at = slice(off, off + len(S2.points[(A2, B2)]))  # the Hom-set's points, in order
+        Y = G1.frames[(A, B)][S1._local[images[at]]] @ F.hom_maps[(A, B)].T
+        scalars[at] = np.sum(G2.hat[(A2, B2)].T * Y, axis=1)
+    m.scalars = dict(zip(S2._handles, scalars.tolist()))
     return m

@@ -25,12 +25,16 @@ from cstardual.duality import (
     certified_spectrum,
     certified_validate,
     check_gelfand_isomorphism,
+    check_naturality_E,
+    check_naturality_G,
 )
-from cstardual.errors import BimoduleAxiomViolation, CstarDualError, HolonomyViolation
+from cstardual.errors import (BimoduleAxiomViolation, CstarDualError, DiagonalNotSemisimple,
+                             HolonomyViolation, InvalidCategory)
 from cstardual.functors import sections_category, sigma_on_morphism, spectral_spaceoid
-from cstardual.generators import (GenParams, _transport_category, gen_category, gen_spaceoid,
+from cstardual.generators import (GenParams, _transport_category, gen_category,
+                                  gen_functor_pair, gen_morphism_pair, gen_spaceoid,
                                   scramble_category)
-from cstardual.numlin import DEFAULT_TOL
+from cstardual.numlin import DEFAULT_TOL, Tolerance
 from cstardual.rng import Xoshiro256StarStar
 from cstardual.spaceoid import FiniteSpaceoid, apply_gauge, validate_spaceoid
 
@@ -46,7 +50,7 @@ FIXTURES = ["scalars_category", "footnote_category", "discrete_two_category",
 def assert_same_verdict(cat):
     """``certified_validate`` and ``validate_category`` agree: verdict, check
     counts, and failures with witnesses and deviations in order."""
-    got, _ = certified_validate(cat)
+    got = certified_validate(cat)
     want = validate_category(cat)
     assert got.ok == want.ok
     assert Counter(got.checks_run) == Counter(want.checks_run)
@@ -65,6 +69,20 @@ def sweep_calls(monkeypatch):
         return validate_category(cat, tol)
 
     monkeypatch.setattr(duality, "validate_category", counting)
+    return calls
+
+
+@pytest.fixture
+def spectrum_calls(monkeypatch):
+    """The categories whose spectrum body runs, one entry per run."""
+    calls = []
+    body = functors._spectral_spaceoid
+
+    def counting(C, tol):
+        calls.append(C)
+        return body(C, tol)
+
+    monkeypatch.setattr(functors, "_spectral_spaceoid", counting)
     return calls
 
 
@@ -143,22 +161,23 @@ class TestCertificateFirstValidate:
     def test_valid_wide_category_never_reaches_the_sweep(self, sweep_calls):
         cat = wide_category(1)
         want = validate_category(cat)
-        got, spectrum = certified_validate(cat)
-        assert sweep_calls == [] and spectrum is not None
+        got = certified_validate(cat)
+        assert sweep_calls == [] and DEFAULT_TOL in cat._spectra
         assert got.ok and want.ok and Counter(got.checks_run) == Counter(want.checks_run)
 
     def test_inconclusive_bound_reaches_the_sweep(self, sweep_calls):
         cat = conditioned_category(0, 1e3)[0]
-        _, _, bounds = axiom_certificate(cat, certified_spectrum(cat))
+        _, _, bounds = axiom_certificate(cat)
         assert bounds["positivity"] > DEFAULT_TOL.positivity(1.0) / 2  # inconclusive
-        report, spectrum = certified_validate(cat)
-        assert sweep_calls == [cat] and spectrum is not None and report.ok
+        report = certified_validate(cat)
+        assert sweep_calls == [cat] and DEFAULT_TOL in cat._spectra and report.ok
 
     def test_failed_spectrum_reaches_the_sweep(self, sweep_calls, c2_negative_square):
         with pytest.raises(CstarDualError):
             certified_spectrum(c2_negative_square)
-        report, spectrum = certified_validate(c2_negative_square)
-        assert sweep_calls == [c2_negative_square] and spectrum is None and not report.ok
+        report = certified_validate(c2_negative_square)
+        assert sweep_calls == [c2_negative_square] and not c2_negative_square._spectra
+        assert not report.ok
 
     def test_cli_validate_takes_the_certificate(self, sweep_calls, tmp_path):
         path = tmp_path / "wide.json"
@@ -219,7 +238,7 @@ def positivity_ratios(cat):
     ratios = [0.0]
     for A in cat.objects:
         for B in cat.out[A]:
-            vals = cat.character_matrix(B) @ _squares(cat, A, B, np.eye(cat.dim(A, B)))
+            vals = cat.characters(B) @ _squares(cat, A, B, np.eye(cat.dim(A, B)))
             neg, imag = np.min(vals.real, axis=0), np.max(np.abs(vals.imag), axis=0)
             dev = np.maximum(-neg, 0.0) + imag
             ratios.append(float(np.max(dev / (1 + np.max(np.abs(vals), axis=0)))))
@@ -231,10 +250,10 @@ class TestCertificateBound:
         decided = 0
         for cat in bound_corpus():
             try:
-                spectrum = certified_spectrum(cat)
+                certified_spectrum(cat)
             except CstarDualError:
                 continue
-            _, report, bounds = axiom_certificate(cat, spectrum)
+            _, report, bounds = axiom_certificate(cat)
             if not report.ok:
                 continue
             decided += 1
@@ -249,8 +268,8 @@ class TestCertificateBound:
     def test_twist_is_seen_by_the_phases_alone(self):
         # the twist leaves the transform exact: only delta carries it
         cat = twisted_sections(0, 4e-10)
-        S, G, report = certified_spectrum(cat)
-        F, gelfand, _ = axiom_certificate(cat, (S, G, report))
+        _, _, report = certified_spectrum(cat)
+        _, gelfand, _ = axiom_certificate(cat)
         assert validate_category(cat).largest["associativity"] > 1e-10
         assert gelfand.largest["functor_composition"] < 1e-12
         assert report.largest["cocycle"] > 1e-10
@@ -293,19 +312,11 @@ class TestLinkThroughCertificate:
         assert str(exc.value) == f"linking category fails {first.check} at {first.witness}"
         assert str(exc.value) == "linking category fails associativity at (A,A,A,B)"
 
-    def test_bimodule_spectrum_reuses_the_certificate(self, nonfull_bimodule, monkeypatch,
+    def test_bimodule_spectrum_reuses_the_certificate(self, nonfull_bimodule, spectrum_calls,
                                                       sweep_calls):
-        calls = Counter()
-        for name in ("spectral_spaceoid", "gelfand_transform"):
-            original = getattr(duality, name)
-
-            def counting(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(duality, name, counting)
+        # the certificate takes the spectrum; the link reads it from the cache
         spec = bimodule_spectrum(nonfull_bimodule)
-        assert calls == {"spectral_spaceoid": 1, "gelfand_transform": 1} and sweep_calls == []
+        assert len(spectrum_calls) == 1 and sweep_calls == []
         assert len(spec.pairs) == 2 and spec.iso is not None
 
     def test_refused_certificate_falls_back_to_the_sweep(self, nonfull_bimodule, monkeypatch,
@@ -327,8 +338,48 @@ class TestLinkThroughCertificate:
                                         {(obj,) * 3: cat.comp[(obj,) * 3]},
                                         {(obj, obj): cat.invol[(obj, obj)]},
                                         {obj: cat.unit(obj)})
-            assert np.array_equal(cat.character_matrix(obj), fresh.character_matrix(obj))
-            assert [c.object for c in cat.characters(obj)] == [obj] * cat.dim(obj, obj)
+            assert np.array_equal(cat.characters(obj), fresh.characters(obj))
+            assert cat.characters(obj) is alg.characters(alg.objects[0])
+
+
+# ---------------------------------------------------------------------------
+# one spectrum per category and tolerance
+# ---------------------------------------------------------------------------
+
+class TestSpectrumCache:
+    def test_naturality_takes_each_spectrum_once(self, spectrum_calls):
+        params = GenParams(seed=3, n_objects=3, max_base=3, edge_density=0.8,
+                           phase_mode="random", scramble="unitary")
+        phi, _ = gen_functor_pair(params)
+        assert check_naturality_G(phi).ok
+        assert len(spectrum_calls) == 2
+        assert {id(C) for C in spectrum_calls} == {id(phi.source), id(phi.target)}
+        spectrum_calls.clear()
+        m, _ = gen_morphism_pair(params)
+        assert check_naturality_E(m).ok
+        assert len(spectrum_calls) == 2  # the two section categories, once each
+
+    def test_another_tolerance_takes_it_anew(self, spectrum_calls, footnote_category):
+        first = spectral_spaceoid(footnote_category)
+        assert spectral_spaceoid(footnote_category) is first
+        other = Tolerance(1e-10, 1e-10)
+        spectral_spaceoid(footnote_category, other)
+        assert spectrum_calls == [footnote_category] * 2
+        assert set(footnote_category._spectra) == {DEFAULT_TOL, other}
+
+    def test_a_raising_input_raises_again(self, spectrum_calls, c2_negative_square):
+        for _ in range(2):
+            with pytest.raises(DiagonalNotSemisimple):
+                spectral_spaceoid(c2_negative_square)
+        assert len(spectrum_calls) == 2 and not c2_negative_square._spectra
+
+    def test_category_without_objects(self, sweep_calls):
+        empty = FiniteCStarCategory([], {}, {}, {}, {})
+        with pytest.raises(InvalidCategory, match="without objects"):
+            spectral_spaceoid(empty)
+        report = certified_validate(empty)
+        assert sweep_calls == [empty] and report.ok and report.checks_run == []
+        assert report.to_json() == validate_category(empty).to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -349,18 +400,13 @@ class TestRingCallCounts:
     @pytest.fixture
     def counts(self, monkeypatch):
         counts = Counter()
-        record, corner_actions = ValidationReport.record, functors._corner_actions
+        record = ValidationReport.record
 
         def counting_record(self, *args, **kwargs):
             counts["record"] += 1
             return record(self, *args, **kwargs)
 
-        def counting_corner_actions(*args, **kwargs):
-            counts["_corner_actions"] += 1
-            return corner_actions(*args, **kwargs)
-
         monkeypatch.setattr(ValidationReport, "record", counting_record)
-        monkeypatch.setattr(functors, "_corner_actions", counting_corner_actions)
         return counts
 
     def test_validate_spaceoid(self, ring, counts):
@@ -369,15 +415,26 @@ class TestRingCallCounts:
         assert Counter(report.checks_run)["target_injective"] == 64 * 63
 
     def test_check_gelfand_isomorphism(self, ring, counts):
-        cat, spectrum = ring
-        _, report = check_gelfand_isomorphism(cat, spectrum=spectrum)
+        cat, _ = ring
+        _, report = check_gelfand_isomorphism(cat)
         # 64 functor_unit, 3 other functor checks, 1 for the zero Hom-sets,
         # then bijectivity and isometry on each of the 192 nonzero ones
         assert report.ok and counts == {"record": 64 + 3 + 1 + 2 * 192}
         assert Counter(report.checks_run)["homset_bijective"] == 64 * 64
 
-    def test_sigma_on_morphism(self, ring, counts):
-        cat, spectrum = ring
-        m = sigma_on_morphism(identity_functor(cat), spectra=(spectrum, spectrum))
-        assert counts == {"_corner_actions": 128}
+    def test_sigma_on_morphism(self, ring):
+        cat, (S, _) = ring
+        F, reads = identity_functor(cat), Counter()
+
+        class CountingReads(dict):
+            def __getitem__(self, key):
+                reads[key] += 1
+                return dict.__getitem__(self, key)
+
+        F.hom_maps = CountingReads(F.hom_maps)
+        m = sigma_on_morphism(F)
+        # the gate and the scalars read the Hom maps of the Hom-sets with points only
+        with_points = {key for key, pts in S.points.items() if pts}
+        assert len(with_points) == 128
+        assert {(A, B) for A, B in reads if A != B} == with_points
         assert all(abs(v - 1) < 1e-12 for v in m.scalars.values())

@@ -12,7 +12,6 @@ from cstardual.cstarcat import (
     FiniteCStarCategory,
     _corner_actions,
     StarFunctor,
-    characters_of_diagonal,
     check_non_degenerate,
     check_star_functor,
     corner,
@@ -71,21 +70,20 @@ class TestValidateCategory:
 
 class TestCharacters:
     def test_scalars(self, scalars_category):
-        chars = characters_of_diagonal(scalars_category, "A")
+        chars = scalars_category.characters("A")
         assert len(chars) == 1
-        assert chars[0](np.ones(1)) == pytest.approx(1.0)
+        assert chars[0] @ np.ones(1) == pytest.approx(1.0)
 
     def test_selfadjoint_square(self, c2_selfadjoint):
-        chars = characters_of_diagonal(c2_selfadjoint, "A")
-        values = [tuple(np.round(c.values.real, 9)) for c in chars]
+        chars = c2_selfadjoint.characters("A")
+        values = [tuple(np.round(row.real, 9)) for row in chars]
         # multiplicativity forces value(b2)^2 = 1; canonical order is
         # lexicographic in the value tuples
         assert values == [(1.0, -1.0), (1.0, 1.0)]
 
     def test_three_idempotents(self):
         cat = functions_algebra(3)
-        chars = characters_of_diagonal(cat, "A")
-        mat = np.array([c.values for c in chars])
+        mat = cat.characters("A")
         assert np.allclose(np.sort(mat.real, axis=0), np.sort(np.eye(3), axis=0))
 
     def test_scrambled_invertible_basis(self):
@@ -93,9 +91,8 @@ class TestCharacters:
                            phase_mode="trivial", scramble="invertible")
         cat, _ = gen_category(params)
         A = cat.objects[0]
-        chars = characters_of_diagonal(cat, A)
-        assert len(chars) == cat.dim(A, A)
-        omega = np.array([c.values for c in chars])
+        omega = cat.characters(A)
+        assert len(omega) == cat.dim(A, A)
         T = cat.comp[(A, A, A)]
         lhs = np.einsum("ijm,km->kij", T, omega)
         rhs = np.einsum("ki,kj->kij", omega, omega)
@@ -105,10 +102,13 @@ class TestCharacters:
         # two multiplicative functionals exist, but b2* . b2 = -b1 makes the
         # canonical form phi(x* y) indefinite: not the diagonal of a valid input
         with pytest.raises(DiagonalNotSemisimple, match="not positive definite"):
-            characters_of_diagonal(c2_negative_square, "A")
+            c2_negative_square.characters("A")
 
     def test_cache_keyed_by_tolerance(self, c2_selfadjoint):
-        assert len(c2_selfadjoint.characters("A")) == 2
+        chars = c2_selfadjoint.characters("A")
+        assert len(chars) == 2
+        # one cached matrix, shared by every caller, so nobody may write to it
+        assert c2_selfadjoint.characters("A") is chars and not chars.flags.writeable
         # at this tolerance the two characters coincide, cached or not
         with pytest.raises(DiagonalNotSemisimple):
             c2_selfadjoint.characters("A", Tolerance(abs_eps=10.0))
@@ -120,9 +120,9 @@ class TestConditioning:
         for seed in range(20):
             cat, oracle = conditioned_category(seed, kappa)
             assert validate_category(cat).ok, seed
-            spectrum = spectral_spaceoid(cat)
-            assert spaceoids_isomorphic(spectrum[0], oracle) is not None, seed
-            assert check_gelfand_isomorphism(cat, spectrum=spectrum)[1].ok, seed
+            S, _ = spectral_spaceoid(cat)
+            assert spaceoids_isomorphic(S, oracle) is not None, seed
+            assert check_gelfand_isomorphism(cat)[1].ok, seed
 
     @pytest.mark.parametrize("kappa", [1e3, 1e4, 1e5, 1e6, 1e7, 1e8])
     def test_typed_outcome_past_break_down(self, kappa):
@@ -137,19 +137,15 @@ class TestConditioning:
 
 class TestCorner:
     def test_diagonal_same_character(self, c2_selfadjoint):
-        chars = characters_of_diagonal(c2_selfadjoint, "A")
-        basis = corner(c2_selfadjoint, "A", "A", chars[0], chars[0])
+        basis = corner(c2_selfadjoint, "A", "A", 0, 0)
         assert basis.shape[1] == 1
 
     def test_diagonal_distinct_characters(self, c2_selfadjoint):
-        chars = characters_of_diagonal(c2_selfadjoint, "A")
-        basis = corner(c2_selfadjoint, "A", "A", chars[0], chars[1])
+        basis = corner(c2_selfadjoint, "A", "A", 0, 1)
         assert basis.shape[1] == 0
 
     def test_footnote_cross_corner(self, footnote_category):
-        p = characters_of_diagonal(footnote_category, "A")[0]
-        q = characters_of_diagonal(footnote_category, "B")[0]
-        basis = corner(footnote_category, "A", "B", p, q)
+        basis = corner(footnote_category, "A", "B", 0, 0)
         assert basis.shape == (1, 1)
 
     def test_corners_decompose_hom_sets(self):
@@ -162,8 +158,8 @@ class TestCorner:
                     continue
                 total = sum(
                     corner(cat, A, B, p, q).shape[1]
-                    for p in characters_of_diagonal(cat, A)
-                    for q in characters_of_diagonal(cat, B))
+                    for p in range(cat.dim(A, A))
+                    for q in range(cat.dim(B, B)))
                 assert total == cat.dim(A, B)
 
     def test_partial_matching_property(self):
@@ -174,10 +170,9 @@ class TestCorner:
             for B in cat.objects:
                 if A == B:
                     continue
-                for p in characters_of_diagonal(cat, A):
-                    partners = [
-                        q.index for q in characters_of_diagonal(cat, B)
-                        if corner(cat, A, B, p, q).shape[1] > 0]
+                for p in range(cat.dim(A, A)):
+                    partners = [q for q in range(cat.dim(B, B))
+                                if corner(cat, A, B, p, q).shape[1] > 0]
                     assert len(partners) <= 1
 
 
@@ -195,9 +190,8 @@ def duplicated_corner_category():
 class TestCornerKernel:
     def test_corner_of_dimension_two_raises(self):
         cat = duplicated_corner_category()
-        p, q = characters_of_diagonal(cat, "A")[0], characters_of_diagonal(cat, "B")[0]
         with pytest.raises(CornerDimensionExceedsOne, match=r"\(A,B\) at characters \(0,0\)"):
-            corner(cat, "A", "B", p, q)
+            corner(cat, "A", "B", 0, 0)
         with pytest.raises(CornerDimensionExceedsOne):
             cat.corner_matching("A", "B")
 
@@ -207,13 +201,13 @@ class TestCornerKernel:
         for cat, (A, B) in [(cat, pair) for cat in (footnote_category, scrambled)
                             for pair in cat.off_diagonal_pairs()]:
             match = cat.corner_matching(A, B)
-            for p in characters_of_diagonal(cat, A):
-                for q in characters_of_diagonal(cat, B):
+            for p in range(cat.dim(A, A)):
+                for q in range(cat.dim(B, B)):
                     basis = corner(cat, A, B, p, q)
-                    if match.get(p.index, (None,))[0] != q.index:
+                    if match.get(p, (None,))[0] != q:
                         assert basis.shape == (cat.dim(A, B), 0)
                         continue
-                    u = match[p.index][1]
+                    u = match[p][1]
                     assert basis.shape == (cat.dim(A, B), 1)
                     assert abs(abs(np.vdot(u, basis[:, 0])) - 1.0) < 1e-12
 
@@ -276,12 +270,12 @@ class TestCornerCertificate:
             cat = request.getfixturevalue(name)
         for A, B in cat.hom_pairs():
             match = cat.corner_matching(A, B)
-            for p, q in product(characters_of_diagonal(cat, A), characters_of_diagonal(cat, B)):
+            for p, q in product(range(cat.dim(A, A)), range(cat.dim(B, B))):
                 basis = corner(cat, A, B, p, q)
-                if match.get(p.index, (None,))[0] != q.index:
+                if match.get(p, (None,))[0] != q:
                     assert basis.shape == (cat.dim(A, B), 0)
                     continue
-                _, u, functional = match[p.index]
+                _, u, functional = match[p]
                 phase = np.vdot(basis[:, 0], u)
                 assert abs(abs(phase) - 1.0) <= 1e-12
                 stacked = basis[:, 0].conj() @ corner_projection_matrix(cat, A, B, p, q)
@@ -854,3 +848,38 @@ def test_no_dense_object_tuple_loops():
                         and kw.value.value >= 3):
                     found.append((path.name, node.lineno))
     assert found == []
+
+
+def _named_in(tree, name):
+    """``(enclosing qualified name, line)`` of every mention of ``name`` as a
+    name or an attribute, outside the definition of ``name`` itself."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if getattr(node, "id", getattr(node, "attr", None)) == name:
+            found.append((".".join(scope), node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_one_spectrum_per_category():
+    """In ``src/`` only ``spectral_spaceoid`` calls the spectrum body, and only
+    it and ``FiniteCStarCategory.__init__`` name the ``_spectra`` cache, so no
+    caller bypasses the cache or writes to it."""
+    allowed = {"_spectral_spaceoid": {"spectral_spaceoid"},
+               "_spectra": {"FiniteCStarCategory.__init__", "spectral_spaceoid"}}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for name, scopes in allowed.items():
+            found += [(path.name, name, scope, line) for scope, line in _named_in(tree, name)
+                      if scope not in scopes]
+    assert found == []
+    # the scan sees the mentions it allows
+    tree = ast.parse((SRC / "functors.py").read_text())
+    assert {scope for scope, _ in _named_in(tree, "_spectral_spaceoid")} == {"spectral_spaceoid"}

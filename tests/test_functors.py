@@ -5,7 +5,7 @@ import pytest
 
 from cstardual.cstarcat import (
     FiniteCStarCategory,
-    characters_of_diagonal,
+    check_non_degenerate,
     check_star_functor,
     corner_projection_matrix,
     cstar_norm,
@@ -167,9 +167,7 @@ class TestSpectralSpaceoid:
         S, G = spectral_spaceoid(cat)
         for (A, B), mat in G.hat.items():
             for n, h in enumerate(S.hom_points(A, B)):
-                p = characters_of_diagonal(cat, A)[int(S.target(h))]
-                q = characters_of_diagonal(cat, B)[int(S.source(h))]
-                from cstardual.cstarcat import corner_projection_matrix
+                p, q = int(S.target(h)), int(S.source(h))
                 K = corner_projection_matrix(cat, A, B, p, q)
                 for i in range(cat.dim(A, B)):
                     coeff = mat[i, n]
@@ -223,8 +221,7 @@ class TestSigmaOnMorphism:
         homs[("B", "A")] = np.conj(u) * np.eye(1)
         F = StarFunctor(cat, cat, {"A": "A", "B": "B"}, homs)
         assert check_star_functor(F).ok
-        spec = spectral_spaceoid(cat)
-        m = sigma_on_morphism(F, spectra=(spec, spec))
+        m = sigma_on_morphism(F)
         assert m.base_maps == {A: {x: x for x in m.source.base_sets[A]}
                                for A in m.source.objects}
         h = m.source.hom_points("A", "B")[0]
@@ -236,12 +233,9 @@ class TestSigmaOnMorphism:
                                edge_density=0.9, phase_mode="random",
                                scramble=("unitary", "invertible")[seed % 2])
             phi, psi = gen_functor_pair(params)
-            sp1 = spectral_spaceoid(phi.source)
-            sp2 = spectral_spaceoid(phi.target)
-            sp3 = spectral_spaceoid(psi.target)
-            s_phi = sigma_on_morphism(phi, spectra=(sp1, sp2))
-            s_psi = sigma_on_morphism(psi, spectra=(sp2, sp3))
-            s_comp = sigma_on_morphism(phi.then(psi), spectra=(sp1, sp3))
+            s_phi = sigma_on_morphism(phi)
+            s_psi = sigma_on_morphism(psi)
+            s_comp = sigma_on_morphism(phi.then(psi))
             chained = compose_morphisms(s_psi, s_phi)
             eq, dev = morphisms_equal(s_comp, chained, tol=1e-6)
             assert eq, (seed, dev)
@@ -316,8 +310,8 @@ def _reference_project(frame, w, context):
 def reference_spectrum(C):
     """Spectral spaceoid and frames from per-corner, per-point and per-row
     loops; the spaceoid's phases are the reference for the stacked build."""
-    label = GelfandData({A: C.character_matrix(A) for A in C.objects}, {}, {}).point_label
-    chars = {A: characters_of_diagonal(C, A) for A in C.objects}
+    label = GelfandData({A: C.characters(A) for A in C.objects}, {}, {}).point_label
+    chars = {A: range(len(C.characters(A))) for A in C.objects}
     points, frames = {}, {}
     for A, B in C.off_diagonal_pairs():
         E = max_abs(C.idempotents(A)) * max_abs(C.idempotents(B))
@@ -330,10 +324,10 @@ def reference_spectrum(C):
             u = K[:, np.argmax(norms)] / norms.max()
             if max_abs(K - np.outer(u, u.conj() @ K)) > zero_tol * max(1.0, max_abs(K)):
                 raise CornerDimensionExceedsOne(
-                    f"corner ({A},{B}) at characters ({p.index},{q.index}) has dimension > 1")
-            if p.index in match:
-                raise HolonomyViolation(f"character {p.index} of {A} matches two characters of {B}")
-            match[p.index] = (q.index, u)
+                    f"corner ({A},{B}) at characters ({p},{q}) has dimension > 1")
+            if p in match:
+                raise HolonomyViolation(f"character {p} of {A} matches two characters of {B}")
+            match[p] = (q, u)
         partners = [q for q, _ in match.values()]
         for q in [q for k, q in enumerate(partners) if q in partners[:k]][:1]:
             raise HolonomyViolation(f"character {q} of {B} matches two characters of {A}")
@@ -428,3 +422,73 @@ class TestSpectrumAgainstReference:
     def test_perturbed_involutions(self, seed, scramble):
         # nu and c can both fail here: a failing point is reported before any row
         assert_matches_reference(perturbed_category(seed, scramble, involution=True))
+
+
+# ---------------------------------------------------------------------------
+# sigma's scalars against a corner re-projection read one point at a time
+# ---------------------------------------------------------------------------
+
+def reference_sigma(F):
+    """Point map and frame scalars of ``sigma_on_morphism(F)`` from per-object
+    and per-point loops: each scalar is the corner projection e_p . F(frame)
+    . e_q of the image frame, by ``corner_projection_matrix``, against the
+    point's own frame, with a residual that must vanish."""
+    ok, _ = check_non_degenerate(F)
+    if not ok:
+        raise DegenerateFunctor("gate")
+    (S1, G1), (S2, G2) = spectral_spaceoid(F.source), spectral_spaceoid(F.target)
+    inv = {v: k for k, v in F.obj_map.items()}
+    base = {}
+    for A2 in F.target.objects:
+        pull = G2.diag[A2] @ F.hom_maps[(inv[A2], inv[A2])]
+        base[A2] = []
+        for k, row in enumerate(pull):
+            dev = np.max(np.abs(G1.diag[inv[A2]] - row), axis=1)
+            if dev.min() > 1e-6 * (1.0 + max_abs(row)):
+                raise InvalidMorphism(f"no character matches ({A2}, char {k})")
+            base[A2].append(int(np.argmin(dev)))
+    images, scalars = {}, {}
+    for h in S2.all_points():
+        A2, B2, n = h
+        A, B = inv[A2], inv[B2]
+        p, q = int(S2.target(h)), int(S2.source(h))
+        g = S1.lookup(A, B, G1.point_label(A, base[A2][p]), G1.point_label(B, base[B2][q]))
+        if g is None:
+            raise InvalidMorphism(f"point {h} has no image")
+        KY = corner_projection_matrix(F.target, A2, B2, p, q) @ (
+            F.hom_maps[(A, B)] @ G1.frames[(A, B)][g[2]])
+        images[h] = g
+        scalars[h] = _reference_project(G2.frames[(A2, B2)][n], KY, f"scalar{h}")
+    return images, scalars
+
+
+class TestSigmaAgainstReference:
+    @staticmethod
+    def assert_matches_reference(F):
+        got, want = _outcome(sigma_on_morphism, F), _outcome(reference_sigma, F)
+        if isinstance(got, tuple) or isinstance(want[0], type):
+            assert got[0] == want[0], (got, want)  # the same verdict: the error class
+            return
+        images, scalars = want
+        assert {h: got.point_map(h) for h in images} == images
+        for h, v in scalars.items():
+            assert abs(got.scalar(h) - v) <= 1e-12, (h, got.scalar(h), v)
+
+    @pytest.mark.parametrize("scramble", ["none", "unitary", "invertible"])
+    def test_generated_functor_pairs(self, scramble):
+        for seed in range(50):
+            phi, psi = gen_functor_pair(GenParams(
+                seed=seed, n_objects=1 + seed % 4, max_base=1 + seed % 3,
+                edge_density=(0.6, 0.8, 1.0)[seed % 3], phase_mode="random", scramble=scramble))
+            for F in (phi, psi, phi.then(psi)):
+                self.assert_matches_reference(F)
+
+    def test_rejected_functors(self, footnote_embedding):
+        from cstardual.cstarcat import StarFunctor
+        from conftest import functions_algebra
+        unmatched = StarFunctor(functions_algebra(2), functions_algebra(2), {"A": "A"},
+                                {("A", "A"): np.full((2, 2), 0.5)})
+        for F, error in ((footnote_embedding, DegenerateFunctor), (unmatched, InvalidMorphism)):
+            with pytest.raises(error):
+                reference_sigma(F)
+            self.assert_matches_reference(F)
