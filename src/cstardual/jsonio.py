@@ -16,6 +16,8 @@ import base64
 import json
 import math
 import sys
+from bisect import bisect_right
+from itertools import chain
 
 import numpy as np
 
@@ -33,10 +35,6 @@ from .spaceoid import FiniteSpaceoid, SpaceoidMorphism
 # rejects integer literals too large to become a double.
 _FLOAT_MAX = sys.float_info.max
 
-def complex_to_json(z):
-    z = complex(z)
-    return [z.real, z.imag]
-
 def array_to_json(a):
     """``a`` packed: base64 of its little-endian complex128 bytes in C order."""
     return base64.b64encode(np.ascontiguousarray(a, dtype="<c16").tobytes()).decode("ascii")
@@ -45,12 +43,44 @@ def _expect(cond, path, message):
     if not cond:
         raise SchemaError(path, message)
 
-def json_to_complex(v, path):
-    _expect(isinstance(v, (list, tuple)) and len(v) == 2, path,
-            "expected [re, im] pair")
-    _expect(all(type(x) in (int, float) for x in v), path, "re/im must be numbers")
-    _expect(all(abs(x) <= _FLOAT_MAX for x in v), path, "entries must be finite")
-    return complex(v[0], v[1])
+# The rules an [re, im] pair is checked by, in order; a fault code is the
+# index of the first rule a pair breaks (0: none).
+_PAIR_RULES = (None, "expected [re, im] pair", "re/im must be numbers", "entries must be finite")
+
+def _complex_pairs(values):
+    """The [re, im] pairs ``values`` as one complex array (0 where a pair is
+    rejected) and one fault code per pair, indexing ``_PAIR_RULES``: a list or
+    tuple of two, each a plain int or float (not bool), each finite (an
+    integer past the largest double is not)."""
+    n = len(values)
+    # the common case: every pair two finite floats
+    if set(map(type, values)) <= {list, tuple} and set(map(len, values)) == {2}:
+        flat = list(chain.from_iterable(values))
+        if set(map(type, flat)) == {float}:
+            z = np.fromiter(flat, dtype=float, count=2 * n)
+            if np.isfinite(z).all():
+                return z.view(complex), np.zeros(n, dtype=np.int8)
+    pair = np.array([isinstance(v, (list, tuple)) and len(v) == 2 for v in values], dtype=bool)
+    cells = np.zeros((n, 2), dtype=object)
+    pairs = [v for v, ok in zip(values, pair) if ok]
+    cells[pair] = np.fromiter(chain.from_iterable(pairs), dtype=object,
+                              count=2 * len(pairs)).reshape(-1, 2)
+    z, fault = _leaf_faults(cells)
+    fault[~pair] = 1
+    return z, fault
+
+def _leaf_faults(cells):
+    """The object array ``cells`` of [re, im] leaves (last axis 2) as complex
+    values, and per pair fault 2 where a leaf is not a plain int or float, 3
+    where one is not finite (``_PAIR_RULES``); rejected pairs read 0."""
+    kinds = np.frompyfunc(type, 1, 1)(cells)
+    wrong = (kinds != int) & (kinds != float)
+    cells[wrong] = 0.0
+    with np.errstate(invalid="ignore"):  # NaN compares false, as intended
+        infinite = ~(np.abs(cells) <= _FLOAT_MAX)
+    cells[infinite] = 0.0
+    fault = np.where(wrong.any(-1), 2, np.where(infinite.any(-1), 3, 0)).astype(np.int8)
+    return cells.astype(float).view(complex)[..., 0], fault
 
 def json_to_array(v, shape, path):
     """A packed string (``_packed_array``) or nested [re, im] arrays
@@ -84,17 +114,11 @@ def _checked_array(v, shape, path):
     """``json_to_array`` leaf by leaf, over an object array."""
     raw = np.array(v, dtype=object)
     _expect(raw.shape == shape + (2,), path, f"expected shape {list(shape + (2,))}")
-    kinds = np.frompyfunc(type, 1, 1)(raw)
-    wrong = (kinds != int) & (kinds != float)
-    raw[wrong] = 0.0
-    with np.errstate(invalid="ignore"):  # NaN compares false, as intended
-        infinite = ~(np.abs(raw) <= _FLOAT_MAX)
-    bad = np.argwhere(wrong.any(-1) | infinite.any(-1))
+    z, fault = _leaf_faults(raw)
+    bad = np.argwhere(fault)
     if bad.size:
-        here = f"{path}{bad[0].tolist()}"
-        _expect(not wrong[tuple(bad[0])].any(), here, "re/im must be numbers")
-        raise SchemaError(here, "entries must be finite")
-    return raw.astype(float).view(complex).reshape(shape)
+        raise SchemaError(f"{path}{bad[0].tolist()}", _PAIR_RULES[fault[tuple(bad[0])]])
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -185,32 +209,61 @@ def category_from_json(doc, path="category"):
 # spaceoids
 # ---------------------------------------------------------------------------
 
-def point_id(S: FiniteSpaceoid, handle):
-    A, B, _ = handle
-    return f"{A}|{B}|{S.target(handle)}|{S.source(handle)}"
+def _point_ids(S: FiniteSpaceoid):
+    """The id ``A|B|t|s`` of every point of ``S``, in point order."""
+    return [f"{A}|{B}|{t}|{s}" for A, B in sorted(S.points) for t, s in S.points[(A, B)]]
+
+
+def _pairs_to_json(z):
+    """Every entry of the complex array ``z`` as an [re, im] pair."""
+    return np.stack([z.real, z.imag], axis=-1).tolist()
+
+
+def _repeats(keys):
+    """Per entry of the list ``keys``, whether an earlier entry has the same
+    key (compared as Python values: NumPy's strings drop trailing NULs)."""
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    return np.fromiter(map(first.__getitem__, keys), np.int64, len(keys)) != np.arange(len(keys))
+
+
+def _raise_first(checks):
+    """Raise the ``SchemaError`` of the first entry in document order that
+    fails a check, naming the first check it fails.  ``checks`` are
+    ``(fails, path(k), message(k))`` in the order an entry is checked, each
+    ``fails`` an array over the entries, nonzero where entry ``k`` fails."""
+    faults = []
+    for order, (fails, _, _) in enumerate(checks):
+        at = np.flatnonzero(fails)
+        if at.size:
+            faults.append((int(at[0]), order))
+    if faults:
+        k, order = min(faults)
+        _, path_of, message_of = checks[order]
+        raise SchemaError(path_of(k), message_of(k))
 
 
 def spaceoid_to_json(S: FiniteSpaceoid):
-    doc = {
+    ids, nu = _point_ids(S), _pairs_to_json(S._nu)
+    rows = np.lexsort((S._q, S._p))  # by (p, q), the order of the handle pairs
+    return {
         "objects": list(S.objects),
         "base_sets": {A: list(S.base_sets[A]) for A in S.objects},
-        "points": {},
-        "phases": [],
+        "points": {_pair_key(A, B): [{"id": ids[k], "t": t, "s": s, "nu": nu[k]}
+                                     for k, (t, s) in enumerate(pts, S._offset[(A, B)])]
+                   for (A, B), pts in sorted(S.points.items())},
+        "phases": [{"p": ids[p], "q": ids[q], "c": c} for p, q, c in
+                   zip(S._p[rows].tolist(), S._q[rows].tolist(), _pairs_to_json(S._c[rows]))],
     }
-    nu = S.nu
-    for (A, B), pts in sorted(S.points.items()):
-        doc["points"][_pair_key(A, B)] = [
-            {"id": point_id(S, (A, B, i)), "t": t, "s": s,
-             "nu": complex_to_json(nu[(A, B, i)])}
-            for i, (t, s) in enumerate(pts)
-        ]
-    for (h1, h2), c in sorted(S.cphase.items()):
-        doc["phases"].append({"p": point_id(S, h1), "q": point_id(S, h2),
-                              "c": complex_to_json(c)})
-    return doc
 
 
 def spaceoid_from_json(doc, path="spaceoid"):
+    """A spaceoid document read field by field, each field as one column.
+
+    An error names the first offending entry in document order and, at that
+    entry, the first check it fails: a point entry is checked for its
+    fields, a duplicate id, then ``nu``; a phase entry for its fields, an
+    unknown ``p``, an unknown ``q``, adjacency, ``c``, then a pair of points
+    an earlier entry already gave a phase."""
     _object(doc, path, "objects", "base_sets")
     objs = _object_labels(doc["objects"], f"{path}.objects")
     base_sets = _object(doc["base_sets"], f"{path}.base_sets", *objs)
@@ -220,37 +273,79 @@ def spaceoid_from_json(doc, path="spaceoid"):
         _expect(isinstance(labels, list) and labels, f"{path}.base_sets.{A}",
                 "expected nonempty list")
         base[A] = [str(x) for x in labels]
-    points = {}
-    nu = {}
-    ids = {}
-    for (A, B), key_path, lst in _labelled(doc.get("points", {}), 2, objs, f"{path}.points"):
-        _expect(A != B, key_path, "diagonal points are implicit")
-        _expect(isinstance(lst, list), key_path, "expected list")
-        pts = []
-        for i, entry in enumerate(lst):
-            here = f"{key_path}[{i}]"
-            _expect(isinstance(entry, dict) and {"id", "t", "s"} <= set(entry),
-                    here, "expected {id, t, s[, nu]}")
-            pid = str(entry["id"])
-            _expect(pid not in ids, here, f"duplicate point id '{pid}'")
-            ids[pid] = (A, B, i)
-            pts.append((str(entry["t"]), str(entry["s"])))
-            if "nu" in entry:
-                nu[(A, B, i)] = json_to_complex(entry["nu"], f"{here}.nu")
-        points[(A, B)] = pts
+
+    # the point entries of every Hom-set, in document order; a fault in a
+    # Hom-set key is raised once the entries before it pass
+    spans, entries, key_fault = [], [], None
+    try:
+        for (A, B), key_path, lst in _labelled(doc.get("points", {}), 2, objs, f"{path}.points"):
+            _expect(A != B, key_path, "diagonal points are implicit")
+            _expect(isinstance(lst, list), key_path, "expected list")
+            spans.append((A, B, key_path, len(entries)))
+            entries += lst
+    except SchemaError as exc:
+        key_fault = exc
+    starts = [lo for *_, lo in spans]
+
+    def at_point(k):
+        _, _, key_path, lo = spans[bisect_right(starts, k) - 1]
+        return f"{key_path}[{k - lo}]"
+
+    shaped = np.array([isinstance(e, dict) and "id" in e and "t" in e and "s" in e
+                       for e in entries], dtype=bool)
+    good = entries[:np.argmin(shaped)] if not shaped.all() else entries
+    ids = [str(e["id"]) for e in good]
+    again = _repeats(ids)
+    with_nu = [k for k, e in enumerate(good) if "nu" in e]
+    nu, fault = _complex_pairs([good[k]["nu"] for k in with_nu])
+    nu_fault = np.zeros(len(good), dtype=np.int8)
+    nu_fault[with_nu] = fault
+    _raise_first([(~shaped, at_point, lambda k: "expected {id, t, s[, nu]}"),
+                  (again, at_point, lambda k: f"duplicate point id '{ids[k]}'"),
+                  (nu_fault, lambda k: f"{at_point(k)}.nu", lambda k: _PAIR_RULES[nu_fault[k]])])
+    if key_fault:
+        raise key_fault
+
+    bounds = starts + [len(entries)]
+    t, s = [str(e["t"]) for e in entries], [str(e["s"]) for e in entries]
+    points = {(A, B): list(zip(t[lo:hi], s[lo:hi]))
+              for (A, B, _, lo), hi in zip(spans, bounds[1:])}
+    handles = [(A, B, i) for (A, B, _, lo), hi in zip(spans, bounds[1:]) for i in range(hi - lo)]
+    number = dict(zip(ids, range(len(ids))))
+    index = {A: a for a, A in enumerate(objs)}
+    counts = np.diff(bounds)
+    tgt_obj = np.repeat(np.array([index[A] for A, *_ in spans], dtype=np.int64), counts)
+    src_obj = np.repeat(np.array([index[B] for _, B, *_ in spans], dtype=np.int64), counts)
+
     phases = doc.get("phases", [])
     _expect(isinstance(phases, list), f"{path}.phases", "expected list")
-    cphase = {}
-    for n, entry in enumerate(phases):
-        here = f"{path}.phases[{n}]"
-        _expect(isinstance(entry, dict) and {"p", "q", "c"} <= set(entry),
-                here, "expected {p, q, c}")
-        for which in ("p", "q"):
-            _expect(str(entry[which]) in ids, f"{here}.{which}",
-                    f"unknown point id '{entry[which]}'")
-        h1, h2 = ids[str(entry["p"])], ids[str(entry["q"])]
-        _expect(h1[1] == h2[0], here, "phase pair is not adjacent")
-        cphase[(h1, h2)] = json_to_complex(entry["c"], f"{here}.c")
+    shaped = np.array([isinstance(e, dict) and "p" in e and "q" in e and "c" in e
+                       for e in phases], dtype=bool)
+    good = phases[:np.argmin(shaped)] if not shaped.all() else phases
+    p = [number.get(str(e["p"]), -1) for e in good]
+    q = [number.get(str(e["q"]), -1) for e in good]
+    pa, qa = np.array(p, dtype=np.int64), np.array(q, dtype=np.int64)
+    known = (pa >= 0) & (qa >= 0)
+    apart = np.zeros(len(good), dtype=bool)
+    apart[known] = src_obj[pa[known]] != tgt_obj[qa[known]]
+    c, c_fault = _complex_pairs([e["c"] for e in good])
+    again = _repeats(list(zip(p, q)))
+
+    def at_phase(k):
+        return f"{path}.phases[{k}]"
+
+    _raise_first([(~shaped, at_phase, lambda k: "expected {p, q, c}"),
+                  (pa < 0, lambda k: f"{at_phase(k)}.p",
+                   lambda k: f"unknown point id '{good[k]['p']}'"),
+                  (qa < 0, lambda k: f"{at_phase(k)}.q",
+                   lambda k: f"unknown point id '{good[k]['q']}'"),
+                  (apart, at_phase, lambda k: "phase pair is not adjacent"),
+                  (c_fault, lambda k: f"{at_phase(k)}.c", lambda k: _PAIR_RULES[c_fault[k]]),
+                  (again, at_phase, lambda k: "duplicate phase pair")])
+
+    nu = dict(zip(map(handles.__getitem__, with_nu), nu.tolist()))
+    cphase = dict(zip(zip(map(handles.__getitem__, p), map(handles.__getitem__, q)),
+                      c.tolist()))
     return _construct(path, FiniteSpaceoid, objs, base, points, nu, cphase)
 
 
@@ -352,10 +447,8 @@ def morphism_to_json(m: SpaceoidMorphism):
         "target": spaceoid_to_json(m.target),
         "obj_map": dict(m.obj_map),
         "base_maps": {A: dict(m.base_maps[A]) for A in m.source.objects},
-        "scalars": {
-            point_id(m.source, h): complex_to_json(m.scalar(h))
-            for h in m.source.all_points()
-        },
+        "scalars": dict(zip(_point_ids(m.source), _pairs_to_json(np.array(
+            [m.scalars.get(h, 1.0) for h in m.source._handles], dtype=complex)))),
     }
 
 
@@ -370,11 +463,18 @@ def morphism_from_json(doc, path="morphism"):
     base_maps = {A: {str(k): str(v) for k, v in
                      _object(doc_base_maps[A], f"{path}.base_maps.{A}").items()}
                  for A in src.objects}
-    ids = {point_id(src, h): h for h in src.all_points()}
-    scalars = {}
-    for pid, val in _object(doc.get("scalars", {}), f"{path}.scalars").items():
-        _expect(pid in ids, f"{path}.scalars.{pid}", "unknown point id")
-        scalars[ids[pid]] = json_to_complex(val, f"{path}.scalars.{pid}")
+    given = _object(doc.get("scalars", {}), f"{path}.scalars")
+    ids = dict(zip(_point_ids(src), range(len(src._handles))))
+    keys = list(given)
+    at = [ids.get(pid, -1) for pid in keys]
+    z, fault = _complex_pairs(list(given.values()))
+
+    def here(k):
+        return f"{path}.scalars.{keys[k]}"
+
+    _raise_first([(np.array(at, dtype=np.int64) < 0, here, lambda k: "unknown point id"),
+                  (fault, here, lambda k: _PAIR_RULES[fault[k]])])
+    scalars = dict(zip(map(src._handles.__getitem__, at), z.tolist()))
     return SpaceoidMorphism(src, tgt, obj_map, base_maps, scalars)
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import copy
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import combinations, product
+from itertools import chain, combinations, product, repeat
 
 import numpy as np
 
@@ -69,35 +69,38 @@ class FiniteSpaceoid:
             raise ValueError("duplicate object labels")
         self.base_sets, self._codes = {}, {}
         for A in self.objects:
-            labels = tuple(str(x) for x in base_sets[A])
+            labels = tuple(map(str, base_sets[A]))
             if len(set(labels)) != len(labels):
                 raise ValueError(f"duplicate base labels at {A}")
             self.base_sets[A] = labels
             self._codes[A] = {x: k for k, x in enumerate(sorted(labels))}
         self.points = {(A, B): [] for A, B in product(self.objects, repeat=2) if A != B}
-        given = {}  # per nonempty Hom(A,B): canonical place of each given point
+        given = {}  # per nonempty Hom(A,B): the given index of each point in canonical order
         for key, pts in points.items():
             if key not in self.points:
                 raise ValueError(f"points key {key!r} does not name two distinct declared objects")
             raw = [(str(t), str(s)) for t, s in pts]
             if raw:
-                order = sorted(range(len(raw)), key=raw.__getitem__)
-                self.points[key] = [raw[k] for k in order]
-                given[key] = np.argsort(order)
+                given[key] = sorted(range(len(raw)), key=raw.__getitem__)
+                self.points[key] = [raw[k] for k in given[key]]
 
         self._object_index = {A: a for a, A in enumerate(self.objects)}
-        self._handles, self._offset, cols, codes = [], {}, [], self._codes
-        for A, B in sorted(self.points):
-            self._offset[(A, B)] = len(self._handles)
-            for i, (t, s) in enumerate(self.points[(A, B)]):
-                self._handles.append((A, B, i))
-                cols.append((self._object_index[A], self._object_index[B], i,
-                             codes[A].setdefault(t, len(codes[A])),
-                             codes[B].setdefault(s, len(codes[B]))))
-        self._radix = max([1] + [len(c) for c in codes.values()])
+        keys = sorted(self.points)
+        sizes = np.array([len(self.points[key]) for key in keys], dtype=np.int64)
+        self._offset = dict(zip(keys, (np.cumsum(sizes) - sizes).tolist()))
+        self._handles = [(A, B, i) for (A, B), m in zip(keys, sizes.tolist()) for i in range(m)]
         n = len(self._handles)
-        cols = np.array(cols, dtype=np.int64).reshape(n, 5).T
-        self._tobj, self._sobj, self._local, self._tlab, self._slab = cols
+        owner, self._local = _runs(np.zeros(len(keys), dtype=np.int64), sizes)
+        hom = np.array([[self._object_index[A], self._object_index[B]] for A, B in keys],
+                       dtype=np.int64).reshape(-1, 2)
+        self._tobj, self._sobj = hom[owner, 0], hom[owner, 1]
+        # a label outside its base set is coded past the end, in point order
+        codes = self._codes
+        labels = [(codes[A].setdefault(t, len(codes[A])), codes[B].setdefault(s, len(codes[B])))
+                  for A, B in keys for t, s in self.points[(A, B)]]
+        self._tlab, self._slab = np.fromiter(chain.from_iterable(labels), np.int64,
+                                             2 * n).reshape(n, 2).T
+        self._radix = max([1] + [len(c) for c in codes.values()])
         key = self._point_key(self._tobj, self._sobj, self._tlab, self._slab)
         by_key = np.argsort(key, kind="stable")
         # a sentinel above every key keeps each search in range
@@ -121,23 +124,31 @@ class FiniteSpaceoid:
         r = self._find(a, c, self._tlab[self._p], self._slab[self._q])
         self._r = np.where(a == c, DIAGONAL, np.where(r < 0, NO_COMPOSITE, r))
 
-        def number(handle, what, key):
-            A, B, i = handle
-            if (A, B) not in given or not 0 <= i < len(given[(A, B)]):
-                raise ValueError(f"{what} key {key!r} does not name a point")
-            return self._offset[(A, B)] + int(given[(A, B)][i])
-
         self._nu = np.ones(n, dtype=complex)
-        for handle, value in (nu or {}).items():
-            self._nu[number(handle, "nu", handle)] = complex(value)
         self._c = np.ones(len(self._p), dtype=complex)
-        keys = list(cphase or {})
-        ends = np.array([[number(h1, "cphase", (h1, h2)), number(h2, "cphase", (h1, h2))]
-                         for h1, h2 in keys], dtype=np.int64)
-        rows = self._row(*ends.reshape(-1, 2).T)
+        if not (nu or cphase):
+            return
+        # each given handle (A, B, i) -> its point number, -1 where it names none
+        number = {(A, B, i): self._offset[(A, B)] + k
+                  for (A, B), order in given.items() for k, i in enumerate(order)}
+
+        def numbers(handles):
+            return np.fromiter(map(number.get, handles, repeat(-1)), np.int64, len(handles))
+
+        nu, cphase = nu or {}, cphase or {}
+        keys = list(nu)
+        at = numbers(keys)
+        for k in np.flatnonzero(at < 0)[:1]:
+            raise ValueError(f"nu key {keys[k]!r} does not name a point")
+        self._nu[at] = np.array(list(nu.values()), dtype=complex)
+        keys = list(cphase)
+        p, q = numbers([h for h, _ in keys]), numbers([h for _, h in keys])
+        for k in np.flatnonzero((p < 0) | (q < 0))[:1]:
+            raise ValueError(f"cphase key {keys[k]!r} does not name a point")
+        rows = self._row(p, q)
         for k in np.flatnonzero(rows < 0)[:1]:
             raise ValueError(f"phase on {keys[k][0]},{keys[k][1]}, which do not compose")
-        self._c[rows] = [complex(v) for v in (cphase or {}).values()]
+        self._c[rows] = np.array(list(cphase.values()), dtype=complex)
 
     def _point_key(self, a, b, t, s):
         return ((a * len(self.objects) + b) * self._radix + t) * self._radix + s
@@ -230,37 +241,55 @@ class FiniteSpaceoid:
 
     # -- components -----------------------------------------------------------
 
+    def _roots(self):
+        """The root of every base node's component: per node ``a * radix +
+        code`` (object index, label code), the node of the component's least
+        (object label, base label) in string order.  Raises
+        ``InvalidSpaceoid`` at the least root whose component holds two base
+        points of one object."""
+        n, radix = len(self.objects), self._radix
+        # nodes renumbered to keys in string order: object rank, then code,
+        # since the codes of base labels follow the sorted labels
+        by_label = np.array(sorted(range(n), key=self.objects.__getitem__), dtype=np.int64)
+        to_key = (np.argsort(by_label)[:, None] * radix + np.arange(radix)).ravel()
+        to_node = (by_label[:, None] * radix + np.arange(radix)).ravel()
+        u = to_key[self._tobj * radix + self._tlab]
+        v = to_key[self._sobj * radix + self._slab]
+        # min-label propagation over the points, with pointer jumping
+        least = np.arange(n * radix)
+        while True:
+            low = np.minimum(least[u], least[v])
+            step = least.copy()
+            np.minimum.at(step, u, low)
+            np.minimum.at(step, v, low)
+            step = step[step]
+            if np.array_equal(step, least):
+                break
+            least = step
+        sizes = np.array([len(self.base_sets[A]) for A in self.objects], dtype=np.int64)
+        nodes = np.flatnonzero((np.arange(radix) < sizes[:, None]).ravel())  # base points
+        met, times = np.unique(least[to_key[nodes]] * n + nodes // radix, return_counts=True)
+        for key in met[times > 1][:1] // n:
+            a, code = divmod(int(to_node[key]), radix)
+            A = self.objects[a]
+            x = next(x for x, k in self._codes[A].items() if k == code)
+            raise InvalidSpaceoid(f"component at {(A, x)} holds two base points of one object")
+        return to_node[least[to_key]]
+
     def components(self):
         """Maximal pair subgroupoids plus singleton components for unlinked
-        base points, in deterministic order."""
-        parent = {}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for A in self.objects:
+        base points, in deterministic order: by root (``_roots``)."""
+        root, radix = self._roots(), self._radix
+        groups, node = {}, {}
+        for a, A in enumerate(self.objects):
             for x in self.base_sets[A]:
-                parent[(A, x)] = (A, x)
-        for A, B in self.points:
-            for t, s in self.points[(A, B)]:
-                rx, ry = find((A, t)), find((B, s))
-                parent[max(rx, ry)] = min(rx, ry)
-        groups = {}
-        for node in parent:
-            groups.setdefault(find(node), []).append(node)
-        comps = {}
-        for root in sorted(groups):
-            nodes = groups[root]
-            objs = sorted({A for A, _ in nodes})
-            if len(nodes) != len(objs):
-                raise InvalidSpaceoid(
-                    f"component at {root} holds two base points of one object")
-            comps[root] = Component(tuple(objs), dict(nodes), {})
-        for h in self._handles:
-            comps[find((h[0], self.target(h)))].points[h[:2]] = h
+                k = a * radix + self._codes[A][x]
+                node[k] = (A, x)
+                groups.setdefault(int(root[k]), {})[A] = x
+        comps = {r: Component(tuple(sorted(diag)), diag, {})
+                 for r, diag in sorted(groups.items(), key=lambda item: node[item[0]])}
+        for h, r in zip(self._handles, root[self._tobj * radix + self._tlab].tolist()):
+            comps[r].points[h[:2]] = h
         return list(comps.values())
 
 
@@ -300,7 +329,8 @@ def validate_spaceoid(S: FiniteSpaceoid, tol: Tolerance = DEFAULT_TOL) -> Valida
         return report
 
     # witnesses follow the Hom-set order of ``S.points``, which is object order
-    in_order = [S._point(g) for key in S.points for g in S.hom_points(*key)]
+    _, in_order = _runs(np.array([S._offset[key] for key in S.points], dtype=np.int64),
+                        np.array([len(pts) for pts in S.points.values()], dtype=np.int64))
     inverse = S._star[in_order] >= 0
     report.record("inverse_present", inverse,
                   lambda k: "({},{}) point {}".format(*h[in_order[k]]))
@@ -314,7 +344,7 @@ def validate_spaceoid(S: FiniteSpaceoid, tol: Tolerance = DEFAULT_TOL) -> Valida
     if closed.all() and inverse.all():
         _check_cocycle(S, report, tol.phase(10))
         try:
-            S.components()
+            S._roots()
             report.record("holonomy_trivial", True, "")
         except InvalidSpaceoid as exc:
             report.record("holonomy_trivial", False, str(exc))
@@ -386,15 +416,9 @@ def gauge_fix(S: FiniteSpaceoid):
     change.  Idempotent.
     """
     S._inverses(), S._composites()  # raise here: every frame looked up below exists
-    # per base node, the object index and label code of its component's root
-    root = np.zeros((2, len(S.objects), S._radix), dtype=np.int64)
-    for comp in S.components():
-        r = comp.objects[0]
-        node = S._object_index[r], S._codes[r][comp.diag[r]]
-        for A, x in comp.diag.items():
-            root[:, S._object_index[A], S._codes[A][x]] = node
-    # the frame of A -> B: nu(root -> A) c(A -> root, root -> B), or 1 where A is the root
-    ra, rl = root[:, S._tobj, S._tlab]
+    # the frame of A -> B: nu(root -> A) c(A -> root, root -> B), or 1 where A
+    # is the root; ra, rl: object index and label code of A's component root
+    ra, rl = np.divmod(S._roots()[S._tobj * S._radix + S._tlab], S._radix)
     x = S._find(S._tobj, ra, S._tlab, rl)  # A -> root, -1 where A is the root
     y = S._find(ra, S._sobj, rl, S._slab)  # root -> B, -1 where B is the root
     lam = np.where(x >= 0, S._nu[S._star[x]], 1.0)
